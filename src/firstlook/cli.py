@@ -23,8 +23,11 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
 
-GBM_METHODS = ("crr", "tian-bin", "haahtela", "boyle-trin", "kr-trin", "tian-trin")
-ALL_METHODS = ("closed",) + GBM_METHODS + ("sv-lattice", "mc-euler", "mc-milstein")
+CLOSED_METHOD = "closed"
+SV_METHOD = "sv-lattice"
+MC_PREFIX = "mc-"
+GBM_METHODS = tuple(kind.value for kind in gbm_lattice.MethodKind)
+ALL_METHODS = (CLOSED_METHOD, *GBM_METHODS, SV_METHOD, *(MC_PREFIX + s.value for s in montecarlo.Scheme))
 
 
 class UsageError(Exception):
@@ -48,8 +51,8 @@ def _add_contract_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--strike", type=float, required=True, help="strike price")
     p.add_argument(
         "--strike-basis",
-        choices=["per-click", "per-mille"],
-        default="per-click",
+        choices=[basis.value for basis in StrikeBasis],
+        default=StrikeBasis.PER_CLICK.value,
         help="quote basis of the strike",
     )
     p.add_argument("--ctr", type=float, default=0.03, help="click-through rate")
@@ -140,7 +143,9 @@ def build_parser() -> argparse.ArgumentParser:
     val.add_argument("--lo", type=float, required=True)
     val.add_argument("--hi", type=float, required=True)
     val.add_argument("--points", type=int, required=True)
-    val.add_argument("--scheme", choices=["euler", "milstein"], default="euler")
+    val.add_argument(
+        "--scheme", choices=[s.value for s in montecarlo.Scheme], default=montecarlo.Scheme.EULER.value
+    )
     val.add_argument("--paths", type=int, default=100_000)
     val.add_argument("--mc-steps", type=int, default=200)
     val.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -187,40 +192,37 @@ def cmd_price(args: argparse.Namespace) -> int:
         ),
     }
 
-    if method == "closed" or method in GBM_METHODS:
+    if method == CLOSED_METHOD or method in GBM_METHODS:
         if args.sigma is None:
             raise UsageError("--sigma is required for constant-volatility methods")
         params = GbmParams(spot_M0=args.spot, sigma=args.sigma)
         report["inputs"]["sigma"] = _fmt(args.sigma)
-        if method == "closed":
+        if method == CLOSED_METHOD:
             price = gbm_lattice.closed_form_price(params, contract)
         else:
             lm = gbm_lattice.LatticeMethod(gbm_lattice.MethodKind(method), args.stretch)
             price = gbm_lattice.lattice_price(params, contract, lm)
         report["price"] = _fmt(price)
-    elif method == "sv-lattice":
-        sv = _sv_params(args)
-        report["inputs"].update(
-            sigma0=_fmt(sv.sigma0), kappa=_fmt(sv.kappa), theta=_fmt(sv.theta), delta=_fmt(sv.delta)
-        )
-        lattice = sv_lattice.build_censored_lattice(sv, contract)
-        report["price"] = _fmt(sv_lattice.price_sv_option(lattice).price)
     else:
         sv = _sv_params(args)
         report["inputs"].update(
             sigma0=_fmt(sv.sigma0), kappa=_fmt(sv.kappa), theta=_fmt(sv.theta), delta=_fmt(sv.delta)
         )
-        scheme = montecarlo.Scheme.EULER if method == "mc-euler" else montecarlo.Scheme.MILSTEIN
-        cfg = montecarlo.McConfig(
-            scheme=scheme, n_paths=args.paths, steps=contract.steps_n, seed=args.seed
-        )
-        result = montecarlo.mc_price(sv, contract, cfg)
-        report["price"] = _fmt(result.price)
-        report["std_error"] = _fmt(result.std_error)
-        report["ci_low"] = _fmt(result.ci_low)
-        report["ci_high"] = _fmt(result.ci_high)
-        report["paths"] = result.n_paths
-        report["seed"] = args.seed
+        if method == SV_METHOD:
+            lattice = sv_lattice.build_censored_lattice(sv, contract)
+            report["price"] = _fmt(sv_lattice.price_sv_option(lattice).price)
+        else:
+            scheme = montecarlo.Scheme(method.removeprefix(MC_PREFIX))
+            cfg = montecarlo.McConfig(
+                scheme=scheme, n_paths=args.paths, steps=contract.steps_n, seed=args.seed
+            )
+            result = montecarlo.mc_price(sv, contract, cfg)
+            report["price"] = _fmt(result.price)
+            report["std_error"] = _fmt(result.std_error)
+            report["ci_low"] = _fmt(result.ci_low)
+            report["ci_high"] = _fmt(result.ci_high)
+            report["paths"] = result.n_paths
+            report["seed"] = args.seed
 
     _json_dump(report, args.output)
     return EXIT_OK
@@ -332,25 +334,34 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _sim_setting(args: argparse.Namespace, config: dict, key: str, default=None):
-    flag = getattr(args, key.replace("-", "_"))
+    flag = getattr(args, key)
     if flag is not None:
         return flag
-    if key in config:
-        return config[key]
-    return default
+    return config.get(key, default)
+
+
+def _load_sim_config(args: argparse.Namespace) -> dict:
+    """The --config scenario; its keys are the simulate flags' destinations."""
+    if args.config is None:
+        return {}
+    if not args.config.exists():
+        raise UsageError(f"config file not found: {args.config}")
+    config = json.loads(args.config.read_text())
+    if not isinstance(config, dict):
+        raise UsageError(f"config {args.config} must hold a JSON object")
+    unknown = sorted(set(config) - (set(vars(args)) - {"command", "config", "output_dir"}))
+    if unknown:
+        raise UsageError(f"unknown config keys in {args.config}: {', '.join(unknown)}")
+    return config
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    config: dict = {}
-    if args.config is not None:
-        if not args.config.exists():
-            raise UsageError(f"config file not found: {args.config}")
-        config = json.loads(args.config.read_text())
+    config = _load_sim_config(args)
 
     ctr = float(_sim_setting(args, config, "ctr", 0.03))
     budget = _sim_setting(args, config, "budget")
-    strike_cpc = _sim_setting(args, config, "strike-cpc", config.get("strike_cpc"))
-    sell_ratio = float(_sim_setting(args, config, "sell-ratio", config.get("sell_ratio", 0.2)))
+    strike_cpc = _sim_setting(args, config, "strike_cpc")
+    sell_ratio = float(_sim_setting(args, config, "sell_ratio", 0.2))
     seed = int(_sim_setting(args, config, "seed", DEFAULT_SEED))
     rate = float(_sim_setting(args, config, "rate", 0.05))
     supply = int(_sim_setting(args, config, "supply", 8000))
@@ -380,7 +391,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         horizon_days = len(days)
     elif scenario is not None:
         n_days = int(_sim_setting(args, config, "days", 30))
-        spot = float(_sim_setting(args, config, "spot-cpm", config.get("spot_cpm", 1.0)))
+        spot = float(_sim_setting(args, config, "spot_cpm", 1.0))
         sigma = float(sigma if sigma is not None else 0.5)
         drift = _sim_setting(args, config, "drift")
         if drift is None:
@@ -391,7 +402,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     else:
         raise UsageError("either --market or --scenario is required")
 
-    option_price = _sim_setting(args, config, "option-price", config.get("option_price"))
+    option_price = _sim_setting(args, config, "option_price")
     if option_price is None:
         contract = OptionContract(
             strike=strike_cpc,
@@ -457,6 +468,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
+    except MemoryError:
+        print("error: out of memory; use fewer steps or paths", file=sys.stderr)
         return EXIT_FAILURE
 
 

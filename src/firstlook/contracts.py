@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 
 class StrikeBasis(Enum):
     """Quote basis of an option strike."""
@@ -50,8 +52,13 @@ class OptionContract:
             raise ValueError(f"ctr must be in (0, 1], got {self.ctr}")
         if self.expiry_T <= 0:
             raise ValueError(f"expiry_T must be > 0, got {self.expiry_T}")
-        if not isinstance(self.steps_n, int) or self.steps_n < 1:
-            raise ValueError(f"steps_n must be an integer >= 1, got {self.steps_n}")
+        if isinstance(self.steps_n, bool) or not isinstance(self.steps_n, int) or self.steps_n < 1:
+            raise ValueError(f"steps_n must be an integer >= 1, got {self.steps_n!r}")
+
+    def check_steps(self, limit: int) -> None:
+        """Refuse step counts above a pricer's supported maximum."""
+        if self.steps_n > limit:
+            raise ValueError(f"steps_n = {self.steps_n} exceeds supported maximum {limit}")
 
     @property
     def dt(self) -> float:
@@ -127,12 +134,15 @@ def underlying_value(cpm: float, contract: OptionContract):
     return cpm
 
 
-def payoff(terminal_cpm: float, contract: OptionContract) -> float:
-    """Exercise value at expiry: (underlying value - strike)^+."""
-    return max(underlying_value(terminal_cpm, contract) - contract.strike, 0.0)
+def payoff(terminal_cpm, contract: OptionContract):
+    """Exercise value at expiry: (underlying value - strike)^+.
+
+    Accepts numpy arrays of terminal CPMs as well as scalars.
+    """
+    return np.maximum(underlying_value(terminal_cpm, contract) - contract.strike, 0.0)
 
 
-def discount(value: float, rate_r: float, horizon: float) -> float:
+def discount(value, rate_r: float, horizon: float):
     """Present value of ``value`` received after ``horizon`` years."""
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")

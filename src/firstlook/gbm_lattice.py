@@ -17,12 +17,9 @@ import numpy as np
 from scipy.special import gammaln
 from scipy.stats import binom
 
-from .contracts import GbmParams, OptionContract, underlying_value
+from .contracts import GbmParams, OptionContract, discount, underlying_value
 
 DEFAULT_STRETCH = math.sqrt(1.5)
-
-_BINOMIAL_KINDS = ("crr", "tian-bin", "haahtela")
-_TRINOMIAL_KINDS = ("boyle-trin", "kr-trin", "tian-trin")
 
 
 class MethodKind(Enum):
@@ -55,7 +52,7 @@ class LatticeMethod:
 
     @property
     def is_binomial(self) -> bool:
-        return self.kind.value in _BINOMIAL_KINDS
+        return self.kind in (MethodKind.CRR, MethodKind.TIAN_BIN, MethodKind.HAAHTELA_BIN)
 
 
 def all_methods(stretch_lambda: float = DEFAULT_STRETCH) -> list[LatticeMethod]:
@@ -181,6 +178,8 @@ def movement_params(
 
 
 MAX_BINOMIAL_STEPS = 100_000
+# the trinomial backward induction costs O(n^2): about 1 s at n = 20k
+MAX_TRINOMIAL_STEPS = 20_000
 
 
 def _terminal_log_values(spot: float, move: MoveSpec, n: int) -> np.ndarray:
@@ -192,15 +191,12 @@ def _terminal_log_values(spot: float, move: MoveSpec, n: int) -> np.ndarray:
 def _exercise_boundary(log_values: np.ndarray, strike: float) -> int:
     """Smallest node index whose terminal value reaches the strike.
 
-    Returns len(log_values) when no node is in the money.
+    ``log_values`` ascend with the node index; returns len(log_values)
+    when no node is in the money.
     """
     if strike <= 0:
         return 0
-    threshold = math.log(strike)
-    for j, lv in enumerate(log_values):
-        if lv >= threshold:
-            return j
-    return len(log_values)
+    return int(np.searchsorted(log_values, math.log(strike)))
 
 
 def binomial_price_sum(
@@ -213,9 +209,8 @@ def binomial_price_sum(
     """
     if not method.is_binomial:
         raise ValueError(f"{method.kind.value} is not a binomial method")
+    contract.check_steps(MAX_BINOMIAL_STEPS)
     n = contract.steps_n
-    if n > MAX_BINOMIAL_STEPS:
-        raise ValueError(f"steps_n = {n} exceeds supported maximum {MAX_BINOMIAL_STEPS}")
     move = movement_params(method, params.sigma, contract.rate_r, contract.dt)
     q = move.q1
     spot = underlying_value(params.spot_M0, contract)
@@ -225,7 +220,7 @@ def binomial_price_sum(
     if q == 0.0 or q == 1.0:
         # degenerate walk: all mass on one terminal node
         idx = n if q == 1.0 else 0
-        return math.exp(-contract.rate_r * contract.expiry_T) * float(intrinsic[idx])
+        return discount(float(intrinsic[idx]), contract.rate_r, contract.expiry_T)
 
     j = np.arange(n + 1)
     log_weight = (
@@ -237,7 +232,7 @@ def binomial_price_sum(
     )
     in_money = intrinsic > 0.0
     total = float(np.sum(np.exp(log_weight[in_money]) * intrinsic[in_money]))
-    return math.exp(-contract.rate_r * contract.expiry_T) * total
+    return discount(total, contract.rate_r, contract.expiry_T)
 
 
 def complementary_binomial_price(
@@ -251,6 +246,7 @@ def complementary_binomial_price(
     """
     if not method.is_binomial:
         raise ValueError(f"{method.kind.value} is not a binomial method")
+    contract.check_steps(MAX_BINOMIAL_STEPS)
     n = contract.steps_n
     move = movement_params(method, params.sigma, contract.rate_r, contract.dt)
     q = move.q1
@@ -263,8 +259,7 @@ def complementary_binomial_price(
     q_shift = min(max(q * move.u / growth, 0.0), 1.0)
     psi_shift = float(binom.sf(j_star - 1, n, q_shift))
     psi = float(binom.sf(j_star - 1, n, q))
-    disc = math.exp(-contract.rate_r * contract.expiry_T)
-    return spot * psi_shift - contract.strike * disc * psi
+    return spot * psi_shift - discount(contract.strike, contract.rate_r, contract.expiry_T) * psi
 
 
 def trinomial_price(
@@ -277,6 +272,7 @@ def trinomial_price(
     """
     if method.is_binomial:
         raise ValueError(f"{method.kind.value} is not a trinomial method")
+    contract.check_steps(MAX_TRINOMIAL_STEPS)
     n = contract.steps_n
     move = movement_params(method, params.sigma, contract.rate_r, contract.dt)
     assert move.m is not None and move.q3 is not None
@@ -312,11 +308,11 @@ def closed_form_price(params: GbmParams, contract: OptionContract) -> float:
     if strike <= 0:
         return spot
     if sigma == 0.0:
-        return max(spot - strike * math.exp(-r * T), 0.0)
+        return max(spot - discount(strike, r, T), 0.0)
     srt = sigma * math.sqrt(T)
     d1 = (math.log(spot / strike) + (r + 0.5 * sigma * sigma) * T) / srt
     d2 = d1 - srt
-    return spot * _norm_cdf(d1) - strike * math.exp(-r * T) * _norm_cdf(d2)
+    return spot * _norm_cdf(d1) - discount(strike, r, T) * _norm_cdf(d2)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .contracts import OptionContract, SvParams, underlying_value
+from .contracts import OptionContract, SvParams, discount, payoff
 from .sv_lattice import build_censored_lattice, price_sv_option
 
 
@@ -48,54 +48,7 @@ class McResult:
     scheme: Scheme
 
 
-def step_euler(
-    state: tuple[float, float],
-    dt: float,
-    rate_r: float,
-    sv: SvParams,
-    normals: tuple[float, float],
-) -> tuple[float, float]:
-    """One Euler step of (price, volatility); volatility floored at 0."""
-    m, sigma = state
-    if sigma < 0:
-        raise ValueError(f"volatility state must be >= 0, got {sigma}")
-    eps_price, eps_vol = normals
-    m_next = m * math.exp(
-        (rate_r - 0.5 * sigma * sigma) * dt + sigma * math.sqrt(dt) * eps_price
-    )
-    sigma_next = (
-        sigma
-        + sv.kappa * (sv.theta - sigma) * dt
-        + sv.delta * math.sqrt(sigma * dt) * eps_vol
-    )
-    return m_next, max(sigma_next, 0.0)
-
-
-def step_milstein(
-    state: tuple[float, float],
-    dt: float,
-    rate_r: float,
-    sv: SvParams,
-    normals: tuple[float, float],
-) -> tuple[float, float]:
-    """One Milstein step; adds the second-order volatility correction."""
-    m, sigma = state
-    if sigma < 0:
-        raise ValueError(f"volatility state must be >= 0, got {sigma}")
-    eps_price, eps_vol = normals
-    m_next = m * math.exp(
-        (rate_r - 0.5 * sigma * sigma) * dt + sigma * math.sqrt(dt) * eps_price
-    )
-    sigma_next = (
-        sigma
-        + sv.kappa * (sv.theta - sigma) * dt
-        + sv.delta * math.sqrt(sigma * dt) * eps_vol
-        + 0.25 * sv.delta * sv.delta * dt * (eps_vol * eps_vol - 1.0)
-    )
-    return m_next, max(sigma_next, 0.0)
-
-
-def _advance(
+def advance(
     m: np.ndarray,
     sigma: np.ndarray,
     dt: float,
@@ -105,6 +58,11 @@ def _advance(
     eps_vol: np.ndarray,
     scheme: Scheme,
 ) -> tuple[np.ndarray, np.ndarray]:
+    """One step of (price, volatility) for every path; scalars work too.
+
+    Milstein adds the second-order volatility correction to the Euler
+    step; the volatility is floored at zero afterwards.
+    """
     m_next = m * np.exp((drift - 0.5 * sigma * sigma) * dt + sigma * math.sqrt(dt) * eps_price)
     sigma_next = sigma + sv.kappa * (sv.theta - sigma) * dt + sv.delta * np.sqrt(sigma * dt) * eps_vol
     if scheme is Scheme.MILSTEIN:
@@ -133,7 +91,7 @@ def simulate_terminal(
     for _ in range(steps):
         eps_price = rng.standard_normal(n_paths)
         eps_vol = rng.standard_normal(n_paths)
-        m, sigma = _advance(m, sigma, dt, drift, sv, eps_price, eps_vol, scheme)
+        m, sigma = advance(m, sigma, dt, drift, sv, eps_price, eps_vol, scheme)
     return m
 
 
@@ -155,7 +113,7 @@ def sample_paths(
     for i in range(steps):
         eps_price = rng.standard_normal(n_paths)
         eps_vol = rng.standard_normal(n_paths)
-        m, sigma = _advance(m, sigma, dt, drift, sv, eps_price, eps_vol, scheme)
+        m, sigma = advance(m, sigma, dt, drift, sv, eps_price, eps_vol, scheme)
         out[:, i + 1] = m
     return out
 
@@ -166,10 +124,10 @@ def mc_price(sv: SvParams, contract: OptionContract, cfg: McConfig) -> McResult:
     terminal = simulate_terminal(
         sv, contract.rate_r, dt, cfg.steps, cfg.n_paths, cfg.scheme, cfg.seed
     )
-    payoffs = np.maximum(underlying_value(terminal, contract) - contract.strike, 0.0)
-    disc = math.exp(-contract.rate_r * contract.expiry_T)
-    price = disc * float(np.mean(payoffs))
-    std_error = disc * float(np.std(payoffs, ddof=1)) / math.sqrt(cfg.n_paths)
+    payoffs = payoff(terminal, contract)
+    price = discount(float(np.mean(payoffs)), contract.rate_r, contract.expiry_T)
+    spread = discount(float(np.std(payoffs, ddof=1)), contract.rate_r, contract.expiry_T)
+    std_error = spread / math.sqrt(cfg.n_paths)
     half = 1.96 * std_error
     return McResult(
         price=price,

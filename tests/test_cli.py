@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from firstlook import gbm_lattice, sv_lattice
 from firstlook.cli import main
 
 ITM_FLAGS = [
@@ -97,6 +98,32 @@ class TestPrice:
         )
         assert code == 1
         assert "q1" in err
+
+    @pytest.mark.parametrize(
+        "method,steps",
+        [
+            ("crr", gbm_lattice.MAX_BINOMIAL_STEPS + 1),
+            ("tian-trin", gbm_lattice.MAX_TRINOMIAL_STEPS + 1),
+            ("sv-lattice", sv_lattice.MAX_SV_STEPS + 1),
+        ],
+    )
+    def test_step_cap_exit_one(self, capsys, method, steps):
+        argv = ["price", "--method", method, *SV_FLAGS, "--sigma", "0.8723"]
+        argv[argv.index("--steps") + 1] = str(steps)
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and "exceeds supported maximum" in err
+
+    def test_memory_error_exit_one(self, capsys, monkeypatch):
+        def exhausted(*_args):
+            raise MemoryError
+
+        monkeypatch.setattr(gbm_lattice, "closed_form_price", exhausted)
+        code, out, err = run(capsys, ["price", "--method", "closed", *ITM_FLAGS, "--sigma", "0.5"])
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and "out of memory" in err
 
 
 class TestConverge:
@@ -290,6 +317,27 @@ class TestSimulate:
         )
         assert code == 0
         assert json.loads(out)["bull_market"] is False
+
+    def test_config_must_be_an_object(self, capsys, tmp_path):
+        config = tmp_path / "scenario.json"
+        config.write_text("[1, 2]")
+        code, out, err = run(
+            capsys, ["simulate", "--config", str(config), "--output-dir", str(tmp_path / "o")]
+        )
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "JSON object" in err
+
+    @pytest.mark.parametrize("key", ["strke_cpc", "strike-cpc"])
+    def test_config_unknown_key_rejected(self, capsys, tmp_path, key):
+        config = tmp_path / "scenario.json"
+        config.write_text(json.dumps({"scenario": "bull", "budget": 4.0, key: 0.04}))
+        code, out, err = run(
+            capsys, ["simulate", "--config", str(config), "--output-dir", str(tmp_path / "o")]
+        )
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and key in err
 
     def test_scenario_or_market_required(self, capsys, tmp_path):
         code, _, err = run(

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from firstlook.contracts import (
@@ -71,6 +72,13 @@ class TestPayoff:
         second = [values[i + 1] - 2 * values[i] + values[i - 1] for i in range(1, len(values) - 1)]
         assert all(s >= -1e-15 for s in second)
 
+    def test_vectorized_matches_elementwise(self):
+        c = make_contract()
+        cpms = np.array([0.5, 1.5, 2.0, 7.25])
+        values = payoff(cpms, c)
+        assert values.shape == (4,)
+        assert values.tolist() == [float(payoff(float(m), c)) for m in cpms]
+
     def test_underlying_value_respects_basis(self):
         per_click = make_contract()
         per_mille = make_contract(strike_basis=StrikeBasis.PER_MILLE)
@@ -119,12 +127,19 @@ class TestContractValidation:
             {"expiry_T": 0.0},
             {"expiry_T": -1.0},
             {"steps_n": 0},
+            {"steps_n": True},
+            {"steps_n": 2.0},
             {"expiry_T": math.inf},
         ],
     )
     def test_invalid_contracts_rejected(self, overrides):
         with pytest.raises(ValueError):
             make_contract(**overrides)
+
+    def test_step_cap(self):
+        make_contract(steps_n=100).check_steps(100)
+        with pytest.raises(ValueError, match="exceeds supported maximum 99"):
+            make_contract(steps_n=100).check_steps(99)
 
     def test_gbm_params_validation(self):
         GbmParams(spot_M0=2.0, sigma=0.5)

@@ -1,11 +1,15 @@
 import io
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from firstlook.contracts import GbmParams, OptionContract, per_click_value
 from firstlook.gbm_lattice import (
     DEFAULT_STRETCH,
+    MAX_BINOMIAL_STEPS,
+    MAX_TRINOMIAL_STEPS,
     LatticeMethod,
     MethodKind,
     all_methods,
@@ -15,6 +19,8 @@ from firstlook.gbm_lattice import (
     convergence_report,
     lattice_price,
     movement_params,
+    _exercise_boundary,
+    _terminal_log_values,
     report_to_csv,
     trinomial_price,
 )
@@ -36,6 +42,29 @@ PARAMS = GbmParams(spot_M0=2.0, sigma=0.5)
 
 def method(kind, lam=DEFAULT_STRETCH):
     return LatticeMethod(kind, lam)
+
+
+def assert_refused_before_allocating(pricer, c, kind):
+    """The pricer refuses ``c``'s step count before building any grid."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="exceeds"):
+            pricer(PARAMS, c, method(kind))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def exercise_boundary_by_scan(log_values, strike):
+    """Reference: the first node whose terminal value reaches the strike."""
+    if strike <= 0:
+        return 0
+    threshold = math.log(strike)
+    for j, lv in enumerate(log_values):
+        if lv >= threshold:
+            return j
+    return len(log_values)
 
 
 class TestMovementParams:
@@ -171,8 +200,24 @@ class TestBinomialPricers:
             binomial_price_sum(PARAMS, contract(), method(MethodKind.BOYLE_TRIN))
 
     def test_step_cap(self):
-        with pytest.raises(ValueError, match="exceeds"):
-            binomial_price_sum(PARAMS, contract(n=100_001), method(MethodKind.CRR))
+        for route in (binomial_price_sum, complementary_binomial_price):
+            assert_refused_before_allocating(route, contract(n=MAX_BINOMIAL_STEPS + 1), MethodKind.CRR)
+
+
+class TestExerciseBoundary:
+    def test_matches_scan_on_random_grids(self):
+        rng = np.random.default_rng(20140101)
+        for _ in range(300):
+            n = int(rng.integers(1, 400))
+            c = contract(n=n)
+            kind = [MethodKind.CRR, MethodKind.TIAN_BIN, MethodKind.HAAHTELA_BIN][int(rng.integers(3))]
+            mv = movement_params(method(kind), float(rng.uniform(0.05, 1.5)), 0.05, c.dt)
+            log_values = _terminal_log_values(float(rng.uniform(0.001, 0.1)), mv, n)
+            node = float(np.exp(log_values[int(rng.integers(n + 1))]))
+            near = (np.nextafter(node, 0.0), node, np.nextafter(node, np.inf))
+            for strike in (0.0, *near, float(rng.uniform(0.0, 0.2)), 1e9):
+                expected = exercise_boundary_by_scan(log_values, strike)
+                assert _exercise_boundary(log_values, strike) == expected
 
 
 class TestTrinomialPricer:
@@ -183,6 +228,10 @@ class TestTrinomialPricer:
     def test_binomial_method_rejected(self):
         with pytest.raises(ValueError, match="not a trinomial"):
             trinomial_price(PARAMS, contract(), method(MethodKind.CRR))
+
+    def test_step_cap(self):
+        c = contract(n=MAX_TRINOMIAL_STEPS + 1)
+        assert_refused_before_allocating(trinomial_price, c, MethodKind.TIAN_TRIN)
 
     def test_boyle_converges_to_closed_form(self):
         c = contract(n=1000)

@@ -10,12 +10,11 @@ from firstlook.montecarlo import (
     McConfig,
     McResult,
     Scheme,
+    advance,
     containment_sweep,
     mc_price,
     sample_paths,
     simulate_terminal,
-    step_euler,
-    step_milstein,
     sweep_to_csv,
     validate_lattice,
 )
@@ -25,59 +24,76 @@ BASE_SV = SvParams(spot_M0=20.0, sigma0=0.5, kappa=3.0, theta=0.75, delta=0.35)
 BASE_CONTRACT = OptionContract(strike=0.633, expiry_T=31 / 365, rate_r=0.05, steps_n=100, ctr=0.03)
 
 
+def step(state, dt, sv, normals, scheme=Scheme.EULER, rate=0.05):
+    """One scalar step of the kernel the pricers run."""
+    return advance(*state, dt, rate, sv, *normals, scheme)
+
+
 class TestSteps:
     def test_constant_vol_step_keeps_sigma(self):
         sv = SvParams(spot_M0=20.0, sigma0=0.5, kappa=0.0, theta=0.75, delta=0.0)
-        _, sigma = step_euler((20.0, 0.5), 0.01, 0.05, sv, (1.3, -0.4))
-        assert sigma == 0.5
+        for scheme in Scheme:
+            _, sigma = step((20.0, 0.5), 0.01, sv, (1.3, -0.4), scheme)
+            assert sigma == 0.5
 
     def test_deterministic_step(self):
-        m, sigma = step_euler((20.0, 0.5), 0.01, 0.05, BASE_SV, (0.0, 0.0))
+        m, sigma = step((20.0, 0.5), 0.01, BASE_SV, (0.0, 0.0))
         assert sigma == pytest.approx(0.5 + 3.0 * 0.25 * 0.01, rel=1e-15)
         assert m == pytest.approx(20.0 * math.exp((0.05 - 0.125) * 0.01), rel=1e-15)
 
     def test_one_step_frozen_values(self):
         # mpmath 40-digit, dt=0.01, shocks (0.7, -0.3)
-        m, sigma = step_euler((20.0, 0.5), 0.01, 0.05, BASE_SV, (0.7, -0.3))
+        m, sigma = step((20.0, 0.5), 0.01, BASE_SV, (0.7, -0.3))
         assert m == pytest.approx(20.69686570426526566, rel=1e-14)
         assert sigma == pytest.approx(0.50007537879754125099, rel=1e-14)
-        m2, sigma2 = step_milstein((20.0, 0.5), 0.01, 0.05, BASE_SV, (0.7, -0.3))
+        m2, sigma2 = step((20.0, 0.5), 0.01, BASE_SV, (0.7, -0.3), Scheme.MILSTEIN)
         assert m2 == pytest.approx(m, rel=1e-15)
         assert sigma2 == pytest.approx(0.49979669129754125099, rel=1e-14)
 
     def test_milstein_equals_euler_at_unit_shock(self):
         for eps in (1.0, -1.0):
-            e = step_euler((20.0, 0.5), 0.01, 0.05, BASE_SV, (0.3, eps))
-            m = step_milstein((20.0, 0.5), 0.01, 0.05, BASE_SV, (0.3, eps))
+            e = step((20.0, 0.5), 0.01, BASE_SV, (0.3, eps))
+            m = step((20.0, 0.5), 0.01, BASE_SV, (0.3, eps), Scheme.MILSTEIN)
             assert m == pytest.approx(e, rel=1e-15)
 
     def test_milstein_equals_euler_without_vol_noise(self):
         sv = SvParams(spot_M0=20.0, sigma0=0.5, kappa=3.0, theta=0.75, delta=0.0)
         for eps in (-2.0, 0.5, 1.7):
-            assert step_milstein((20.0, 0.5), 0.01, 0.05, sv, (0.1, eps)) == pytest.approx(
-                step_euler((20.0, 0.5), 0.01, 0.05, sv, (0.1, eps))
+            assert step((20.0, 0.5), 0.01, sv, (0.1, eps), Scheme.MILSTEIN) == pytest.approx(
+                step((20.0, 0.5), 0.01, sv, (0.1, eps))
             )
 
     def test_milstein_correction_magnitude(self):
         # 0.25 * 0.35^2 * 0.01 * (2^2 - 1) = 0.00091875
-        e = step_euler((20.0, 0.5), 0.01, 0.05, BASE_SV, (0.0, 2.0))[1]
-        m = step_milstein((20.0, 0.5), 0.01, 0.05, BASE_SV, (0.0, 2.0))[1]
+        e = step((20.0, 0.5), 0.01, BASE_SV, (0.0, 2.0))[1]
+        m = step((20.0, 0.5), 0.01, BASE_SV, (0.0, 2.0), Scheme.MILSTEIN)[1]
         assert m - e == pytest.approx(0.00091875, rel=1e-12)
 
     def test_volatility_floored_at_zero(self):
-        _, sigma = step_euler((20.0, 0.01), 0.5, 0.05, BASE_SV, (0.0, -50.0))
+        _, sigma = step((20.0, 0.01), 0.5, BASE_SV, (0.0, -50.0))
         assert sigma == 0.0
-        m, sigma2 = step_euler((20.0, 0.0), 0.01, 0.05, BASE_SV, (1.0, 1.0))
-        assert m > 0
-        assert sigma2 == pytest.approx(3.0 * 0.75 * 0.01)
-
-    def test_negative_volatility_state_rejected(self):
-        with pytest.raises(ValueError):
-            step_euler((20.0, -0.1), 0.01, 0.05, BASE_SV, (0.0, 0.0))
+        # reversion toward zero overshoots: 0.5 + 3 * (0 - 0.5) * 0.5 < 0
+        toward_zero = SvParams(spot_M0=20.0, sigma0=0.5, kappa=3.0, theta=0.0, delta=0.35)
+        for scheme in Scheme:
+            _, sigma = step((20.0, 0.5), 0.5, toward_zero, (0.0, 0.0), scheme)
+            assert sigma == 0.0
+            m, sigma2 = step((20.0, 0.0), 0.01, BASE_SV, (1.0, 1.0), scheme)
+            assert m > 0
+            assert sigma2 == pytest.approx(3.0 * 0.75 * 0.01)
 
     def test_price_always_positive(self):
-        m, _ = step_euler((20.0, 0.5), 0.01, 0.05, BASE_SV, (-40.0, 0.0))
-        assert m > 0
+        for scheme in Scheme:
+            m, _ = step((20.0, 0.5), 0.01, BASE_SV, (-40.0, 0.0), scheme)
+            assert m > 0
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_vector_step_matches_scalar_steps(self, scheme):
+        eps_price = np.array([0.7, -1.2, 0.0])
+        eps_vol = np.array([-0.3, 2.0, 1.0])
+        m, sigma = advance(np.full(3, 20.0), np.full(3, 0.5), 0.01, 0.05, BASE_SV,
+                           eps_price, eps_vol, scheme)
+        for i in range(3):
+            assert (m[i], sigma[i]) == step((20.0, 0.5), 0.01, BASE_SV, (eps_price[i], eps_vol[i]), scheme)
 
 
 class TestMcPrice:

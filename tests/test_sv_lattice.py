@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from firstlook.contracts import GbmParams, OptionContract, SvParams
 from firstlook.gbm_lattice import LatticeMethod, MethodKind, binomial_price_sum, closed_form_price
 from firstlook.sv_lattice import (
+    MAX_SV_STEPS,
+    _backward_values,
     build_censored_lattice,
     censored_transition,
     lattice_to_csv,
@@ -189,8 +192,9 @@ class TestPricing:
         assert res.price == 0.0
 
     def test_backward_induction_matches_terminal_sum(self):
-        res = price_sv_option(build_censored_lattice(SSP_SV, SSP_CONTRACT))
-        assert res.backward_price == pytest.approx(res.price, abs=1e-12)
+        lat = build_censored_lattice(SSP_SV, SSP_CONTRACT)
+        backward_price = float(_backward_values(lat)[0][0])
+        assert backward_price == pytest.approx(price_sv_option(lat).price, abs=1e-12)
 
     def test_sv_price_below_constant_vol_price(self):
         # falling volatility path carries less risk than its starting level
@@ -229,14 +233,29 @@ class TestPricing:
         # terminal rows leave transition columns empty
         last = lines[-1].split(",")
         assert last[0] == "14" and last[3] == "" and last[6] == ""
+        root = lines[1].split(",")
+        # the dump carries the backward values, whose root is the price
+        assert float(root[-1]) == pytest.approx(price_sv_option(lat).price, rel=1e-11)
+
+    def test_step_cap(self):
+        c = OptionContract(strike=0.0223, expiry_T=0.0384, rate_r=0.05,
+                           steps_n=MAX_SV_STEPS + 1, ctr=0.03)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="exceeds"):
+                build_censored_lattice(SSP_SV, c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # refused before any level is allocated
+        assert peak < 64 * 1024
 
     def test_node_views(self):
         lat = build_censored_lattice(SSP_SV, SSP_CONTRACT)
-        root = lat.level_nodes(0)[0]
-        assert root.q_mass == 1.0
-        assert root.x == 0.0
-        assert root.j is not None
-        terminal = lat.level_nodes(14)
-        assert len(terminal) == 15
-        assert all(n.j is None and n.q_up is None for n in terminal)
-        assert len(list(lat.levels)) == 15
+        assert lat.qs[0].tolist() == [1.0]
+        assert lat.xs[0].tolist() == [0.0]
+        assert lat.js[0].size == 1
+        assert lat.xs[14].size == 15
+        # the terminal level has no outgoing transitions
+        assert len(lat.js) == len(lat.q_ups) == 14
+        assert len(lat.xs) == len(lat.qs) == 15
