@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import date, timedelta
 from pathlib import Path
 from typing import Sequence
@@ -327,9 +327,7 @@ def fitness_comparison(
     gbm_as_sv = SvParams(
         spot_M0=spot, sigma0=max(gbm.sigma, 1e-12), kappa=0.0, theta=gbm.sigma, delta=0.0
     )
-    sv_from = SvParams(
-        spot_M0=spot, sigma0=sv.sigma0, kappa=sv.kappa, theta=sv.theta, delta=sv.delta
-    )
+    sv_from = replace(sv, spot_M0=spot)
     gbm_paths = montecarlo.sample_paths(
         gbm_as_sv, gbm.mu, dt, steps, n_instances, Scheme.EULER, seed
     )

@@ -9,14 +9,20 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .contracts import OptionContract, SvParams, discount, payoff
 from .sv_lattice import build_censored_lattice, price_sv_option
+
+# cost bounds checked before any path array exists: a path array is 80 MB
+# at the path cap, and the path-step cap is about a minute of Euler steps
+MAX_MC_PATHS = 10**7
+MAX_PATH_STEPS = 10**9
 
 
 class Scheme(Enum):
@@ -36,6 +42,11 @@ class McConfig:
             raise ValueError(f"n_paths must be >= 2, got {self.n_paths}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
+        if self.n_paths > MAX_MC_PATHS:
+            raise ValueError(f"n_paths = {self.n_paths} exceeds supported maximum {MAX_MC_PATHS}")
+        cost = self.n_paths * self.steps
+        if cost > MAX_PATH_STEPS:
+            raise ValueError(f"n_paths * steps = {cost} exceeds supported maximum {MAX_PATH_STEPS}")
 
 
 @dataclass(frozen=True)
@@ -75,6 +86,27 @@ def _generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
+def _walk_paths(
+    sv: SvParams,
+    drift: float,
+    dt: float,
+    steps: int,
+    n_paths: int,
+    scheme: Scheme,
+    seed: int,
+) -> Iterator[np.ndarray]:
+    """Yield the prices of ``n_paths`` paths at the spot and after each step."""
+    rng = _generator(seed)
+    m = np.full(n_paths, sv.spot_M0)
+    sigma = np.full(n_paths, sv.sigma0)
+    yield m
+    for _ in range(steps):
+        eps_price = rng.standard_normal(n_paths)
+        eps_vol = rng.standard_normal(n_paths)
+        m, sigma = advance(m, sigma, dt, drift, sv, eps_price, eps_vol, scheme)
+        yield m
+
+
 def simulate_terminal(
     sv: SvParams,
     drift: float,
@@ -85,14 +117,7 @@ def simulate_terminal(
     seed: int,
 ) -> np.ndarray:
     """Terminal prices of ``n_paths`` independent paths."""
-    rng = _generator(seed)
-    m = np.full(n_paths, sv.spot_M0)
-    sigma = np.full(n_paths, sv.sigma0)
-    for _ in range(steps):
-        eps_price = rng.standard_normal(n_paths)
-        eps_vol = rng.standard_normal(n_paths)
-        m, sigma = advance(m, sigma, dt, drift, sv, eps_price, eps_vol, scheme)
-    return m
+    return deque(_walk_paths(sv, drift, dt, steps, n_paths, scheme, seed), maxlen=1).pop()
 
 
 def sample_paths(
@@ -105,16 +130,9 @@ def sample_paths(
     seed: int,
 ) -> np.ndarray:
     """Full price paths, shape (n_paths, steps + 1), column 0 at the spot."""
-    rng = _generator(seed)
     out = np.empty((n_paths, steps + 1))
-    out[:, 0] = sv.spot_M0
-    m = np.full(n_paths, sv.spot_M0)
-    sigma = np.full(n_paths, sv.sigma0)
-    for i in range(steps):
-        eps_price = rng.standard_normal(n_paths)
-        eps_vol = rng.standard_normal(n_paths)
-        m, sigma = advance(m, sigma, dt, drift, sv, eps_price, eps_vol, scheme)
-        out[:, i + 1] = m
+    for i, m in enumerate(_walk_paths(sv, drift, dt, steps, n_paths, scheme, seed)):
+        out[:, i] = m
     return out
 
 

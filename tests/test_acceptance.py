@@ -32,7 +32,7 @@ from firstlook.gbm_lattice import (
 )
 from firstlook.market_sim import revenue_analysis, simulate_options, simulate_rtb, synthetic_market
 from firstlook.montecarlo import Containment, McConfig, Scheme, containment_sweep, mc_price, sample_paths
-from firstlook.sv_lattice import build_censored_lattice, price_sv_option
+from firstlook.sv_lattice import build_censored_lattice, price_sv_option, walk_levels
 
 IN_MONEY = dict(strike=0.005, expiry_T=31 / 365, rate_r=0.05, ctr=0.3)
 OUT_MONEY = dict(strike=0.075, expiry_T=31 / 365, rate_r=0.05, ctr=0.3)
@@ -127,10 +127,9 @@ def test_criterion_3_binomial_routes_agree():
 
 def test_criterion_4_mass_conservation():
     def check(sv, c):
-        lattice = build_censored_lattice(sv, c)
-        dev = max(abs(math.fsum(lattice.qs[k]) - 1.0) for k in range(c.steps_n + 1))
-        for k in range(c.steps_n):
-            q, up, down = lattice.qs[k], lattice.q_ups[k], lattice.q_downs[k]
+        levels = list(walk_levels(sv, c))
+        dev = max(abs(math.fsum(q) - 1.0) for _, q, *_ in levels)
+        for _, q, _, _, up, down in levels[:-1]:
             assert (up >= -1e-15).all() and (up <= q + 1e-15).all()
             assert np.allclose(up + down, q, atol=1e-15)
         return dev

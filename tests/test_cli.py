@@ -1,9 +1,10 @@
 import json
 import math
+import tracemalloc
 
 import pytest
 
-from firstlook import gbm_lattice, sv_lattice
+from firstlook import cli, gbm_lattice, montecarlo, sv_lattice
 from firstlook.cli import main
 
 ITM_FLAGS = [
@@ -114,6 +115,35 @@ class TestPrice:
         assert code == 1
         assert out == ""
         assert err.count("\n") == 1 and "exceeds supported maximum" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["price", "--method", "mc-euler", *SV_FLAGS,
+             "--paths", str(montecarlo.MAX_MC_PATHS + 1)],
+            ["price", "--method", "mc-milstein", *SV_FLAGS, "--paths", "2000000",
+             "--steps", "501"],
+            ["validate", *SV_FLAGS, "--param", "kappa", "--lo", "2", "--hi", "4", "--points", "2",
+             "--paths", "10000000", "--mc-steps", "101", "--output", "never-written.csv"],
+        ],
+    )
+    def test_mc_cost_cap_exit_one(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.chdir(tmp_path)
+        # the parser alone takes about 70 kB, so build it outside the trace
+        parser = cli.build_parser()
+        monkeypatch.setattr(cli, "build_parser", lambda: parser)
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and "exceeds supported maximum" in err
+        # refused before any path array is allocated
+        assert peak < 64 * 1024
+        assert not list(tmp_path.iterdir())
 
     def test_memory_error_exit_one(self, capsys, monkeypatch):
         def exhausted(*_args):

@@ -6,6 +6,8 @@ import pytest
 from firstlook.contracts import GbmParams, OptionContract, SvParams, per_click_value
 from firstlook.gbm_lattice import closed_form_price
 from firstlook.montecarlo import (
+    MAX_MC_PATHS,
+    MAX_PATH_STEPS,
     Containment,
     McConfig,
     McResult,
@@ -147,6 +149,15 @@ class TestMcPrice:
             McConfig(Scheme.EULER, n_paths=1, steps=10)
         with pytest.raises(ValueError):
             McConfig(Scheme.EULER, n_paths=100, steps=0)
+
+    def test_cost_caps(self):
+        with pytest.raises(ValueError, match="n_paths = 10000001 exceeds"):
+            McConfig(Scheme.EULER, n_paths=MAX_MC_PATHS + 1, steps=1)
+        with pytest.raises(ValueError, match="n_paths \\* steps = 1001000000 exceeds"):
+            McConfig(Scheme.EULER, n_paths=1_000_000, steps=1001)
+        # the caps themselves are admitted, and so is the CLI default of 100k x 500
+        McConfig(Scheme.EULER, n_paths=MAX_MC_PATHS, steps=MAX_PATH_STEPS // MAX_MC_PATHS)
+        McConfig(Scheme.MILSTEIN, n_paths=100_000, steps=500)
 
 
 class TestPathSampling:

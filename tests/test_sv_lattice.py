@@ -1,5 +1,8 @@
+import hashlib
+import io
 import math
 import tracemalloc
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from firstlook.sv_lattice import (
     nearest_grid_index,
     price_sv_option,
     vol_mean_path,
+    walk_levels,
 )
 
 # empirical SSP-slot configuration: two-week option on a 0.7417 CPM slot
@@ -91,58 +95,55 @@ class TestCensoredTransition:
             assert 0.0 <= q_up <= 0.37
 
 
-def level_mass_deviation(lattice):
-    return max(abs(math.fsum(lattice.qs[k]) - 1.0) for k in range(lattice.n_steps + 1))
+def level_mass_deviation(levels):
+    return max(abs(math.fsum(q) - 1.0) for _, q, *_ in levels)
 
 
 class TestBuild:
     def test_single_step(self):
         sv = SvParams(spot_M0=1.0, sigma0=0.5, kappa=3.0, theta=0.75, delta=0.35)
         c = OptionContract(strike=0.03, expiry_T=0.1, rate_r=0.05, steps_n=1, ctr=0.03)
-        lat = build_censored_lattice(sv, c)
-        assert len(lat.xs) == 2
-        assert lat.q_ups[0][0] + lat.q_downs[0][0] == pytest.approx(1.0, abs=1e-15)
+        levels = list(walk_levels(sv, c))
+        assert len(levels) == 2
+        _, _, _, _, up, down = levels[0]
+        assert up[0] + down[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_ssp_lattice_levels_and_mass(self):
-        lat = build_censored_lattice(SSP_SV, SSP_CONTRACT)
-        assert len(lat.xs) == 15
+        levels = list(walk_levels(SSP_SV, SSP_CONTRACT))
+        assert len(levels) == 15
         for k in range(15):
-            assert lat.xs[k].size == k + 1
-        assert level_mass_deviation(lat) < 1e-12
+            assert levels[k][0].size == k + 1
+        assert level_mass_deviation(levels) < 1e-12
 
     def test_recombination_step_two(self):
-        lat = build_censored_lattice(SSP_SV, SSP_CONTRACT)
-        for j in lat.js:
+        for _, _, j, *_ in list(walk_levels(SSP_SV, SSP_CONTRACT))[:-1]:
             steps = np.diff(j)
             assert (steps == -2).all()
 
     def test_nodes_on_incoming_grid(self):
-        lat = build_censored_lattice(SSP_SV, SSP_CONTRACT)
+        levels = list(walk_levels(SSP_SV, SSP_CONTRACT))
         dt = SSP_CONTRACT.dt
         for k in range(1, 15):
-            sigma_k = lat.vol_path[k]
+            sigma_k = vol_mean_path(SSP_SV, k * dt)
             spacing = sigma_k * math.sqrt(dt)
             drift = (0.05 - 0.5 * sigma_k * sigma_k) * dt
-            offsets = (lat.xs[k] - drift) / spacing
+            offsets = (levels[k][0] - drift) / spacing
             assert np.allclose(offsets, np.round(offsets), atol=1e-9)
 
     def test_censoring_bounds_everywhere(self):
-        lat = build_censored_lattice(SSP_SV, SSP_CONTRACT)
-        for k in range(14):
-            q, up, down = lat.qs[k], lat.q_ups[k], lat.q_downs[k]
+        for _, q, _, _, up, down in list(walk_levels(SSP_SV, SSP_CONTRACT))[:-1]:
             assert (up >= -1e-15).all() and (up <= q + 1e-15).all()
             assert np.allclose(up + down, q, atol=1e-15)
 
     def test_uncensored_nodes_keep_conditional_drift(self):
-        lat = build_censored_lattice(SSP_SV, SSP_CONTRACT)
+        levels = list(walk_levels(SSP_SV, SSP_CONTRACT))
         dt = SSP_CONTRACT.dt
         checked = 0
         for k in range(14):
-            sigma_next = lat.vol_path[k + 1]
+            sigma_next = vol_mean_path(SSP_SV, (k + 1) * dt)
             drift = (0.05 - 0.5 * sigma_next * sigma_next) * dt
-            x, q = lat.xs[k], lat.qs[k]
-            up, down = lat.q_ups[k], lat.q_downs[k]
-            x_next = lat.xs[k + 1]
+            x, q, _, _, up, down = levels[k]
+            x_next = levels[k + 1][0]
             for i in range(k + 1):
                 if q[i] <= 0 or up[i] <= 0 or up[i] >= q[i]:
                     continue
@@ -154,8 +155,8 @@ class TestBuild:
     def test_constant_vol_spacing_is_constant(self):
         sv = SvParams(spot_M0=2.0, sigma0=0.5, kappa=0.0, theta=0.5, delta=0.0)
         c = OptionContract(strike=0.005, expiry_T=31 / 365, rate_r=0.05, steps_n=40, ctr=0.3)
-        lat = build_censored_lattice(sv, c)
-        spacings = {round(float(lat.xs[k][0] - lat.xs[k][1]), 12) for k in range(1, 41)}
+        levels = list(walk_levels(sv, c))
+        spacings = {round(float(levels[k][0][0] - levels[k][0][1]), 12) for k in range(1, 41)}
         assert len(spacings) == 1
 
     def test_random_parameter_sets_conserve_mass(self):
@@ -175,8 +176,7 @@ class TestBuild:
                 steps_n=int(rng.integers(2, 80)),
                 ctr=0.03,
             )
-            lat = build_censored_lattice(sv, c)
-            assert level_mass_deviation(lat) < 1e-12
+            assert level_mass_deviation(walk_levels(sv, c)) < 1e-12
 
     def test_nonfinite_build_reports_location(self):
         sv = SvParams(spot_M0=1.0, sigma0=1e200, kappa=0.0, theta=0.0, delta=0.0)
@@ -193,7 +193,7 @@ class TestPricing:
 
     def test_backward_induction_matches_terminal_sum(self):
         lat = build_censored_lattice(SSP_SV, SSP_CONTRACT)
-        backward_price = float(_backward_values(lat)[0][0])
+        backward_price = float(_backward_values(lat, list(walk_levels(SSP_SV, SSP_CONTRACT)))[0][0])
         assert backward_price == pytest.approx(price_sv_option(lat).price, abs=1e-12)
 
     def test_sv_price_below_constant_vol_price(self):
@@ -251,11 +251,52 @@ class TestPricing:
         assert peak < 64 * 1024
 
     def test_node_views(self):
+        levels = list(walk_levels(SSP_SV, SSP_CONTRACT))
+        x, q, j, *_ = levels[0]
+        assert q.tolist() == [1.0]
+        assert x.tolist() == [0.0]
+        assert j.size == 1
+        assert levels[14][0].size == 15
+        # the terminal level alone has no outgoing transitions
+        assert levels[14][2:] == (None, None, None, None)
+        assert all(level[2] is not None and level[4] is not None for level in levels[:14])
+        assert len(levels) == 15
+
+    def test_build_keeps_the_terminal_level(self):
         lat = build_censored_lattice(SSP_SV, SSP_CONTRACT)
-        assert lat.qs[0].tolist() == [1.0]
-        assert lat.xs[0].tolist() == [0.0]
-        assert lat.js[0].size == 1
-        assert lat.xs[14].size == 15
-        # the terminal level has no outgoing transitions
-        assert len(lat.js) == len(lat.q_ups) == 14
-        assert len(lat.xs) == len(lat.qs) == 15
+        x, q, *_ = list(walk_levels(SSP_SV, SSP_CONTRACT))[-1]
+        assert lat.x.tobytes() == x.tobytes() and lat.q.tobytes() == q.tobytes()
+        assert [f.name for f in fields(lat)] == ["params", "contract", "x", "q"]
+
+    def test_build_and_price_memory_is_linear(self):
+        c = OptionContract(strike=0.0223, expiry_T=0.0384, rate_r=0.05,
+                           steps_n=MAX_SV_STEPS, ctr=0.03)
+        tracemalloc.start()
+        try:
+            price_sv_option(build_censored_lattice(SSP_SV, c))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # every level kept would be about 0.6 GB at this n; one level is 40 kB an array
+        assert peak < 8 * 2**20
+
+
+class TestFrozenOutputs:
+    """Bits of the SSP fixture's price and dump, frozen from numpy 2.4 on x86-64.
+
+    The lattice is plain float arithmetic in a fixed order, so any change
+    to that order moves these values.
+    """
+
+    PRICES = {14: "0x1.50538acb9fc49p-9", 200: "0x1.54e25832fcf85p-9", 1000: "0x1.55399a9097475p-9"}
+    DUMP_SHA256 = "689ca892de596b0f8d0cd659e74acd42025e39c998d85341c750b88401ecf6de"
+
+    @pytest.mark.parametrize("n", sorted(PRICES))
+    def test_price_bits(self, n):
+        c = replace(SSP_CONTRACT, steps_n=n)
+        assert price_sv_option(build_censored_lattice(SSP_SV, c)).price.hex() == self.PRICES[n]
+
+    def test_dump_digest(self):
+        buf = io.StringIO()
+        lattice_to_csv(build_censored_lattice(SSP_SV, SSP_CONTRACT), buf)
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == self.DUMP_SHA256
