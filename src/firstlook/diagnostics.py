@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
+from scipy.special import chdtrc
 
 from . import montecarlo
 from .contracts import GbmParams, SvParams
@@ -99,7 +99,9 @@ def shapiro_wilk(sample: Sequence[float]) -> tuple[float, float]:
         raise ValueError(f"sample size must be in [3, 5000], got {x.size}")
     if np.ptp(x) == 0:
         raise ValueError("degenerate input: sample is constant")
-    w, p = stats.shapiro(x)
+    from scipy.stats import shapiro  # scipy.stats alone costs ~0.8 s of import
+
+    w, p = shapiro(x)
     return float(w), float(p)
 
 
@@ -143,7 +145,7 @@ def ljung_box(sample: Sequence[float], lags: int) -> tuple[float, float]:
     rho = acf(x, lags).values[1:]
     k = np.arange(1, lags + 1)
     q = n * (n + 2.0) * float(np.sum(rho * rho / (n - k)))
-    p = float(stats.chi2.sf(q, lags))
+    p = float(chdtrc(lags, q))
     return q, p
 
 

@@ -14,8 +14,7 @@ from enum import Enum
 from typing import IO, Iterable, Sequence
 
 import numpy as np
-from scipy.special import gammaln
-from scipy.stats import binom
+from scipy.special import betainc, gammaln
 
 from .contracts import GbmParams, OptionContract, discount, underlying_value
 
@@ -199,6 +198,17 @@ def _exercise_boundary(log_values: np.ndarray, strike: float) -> int:
     return int(np.searchsorted(log_values, math.log(strike)))
 
 
+def _upper_tail(j: int, n: int, p: float) -> float:
+    """P(X >= j) for X ~ Binomial(n, p), 0 <= j <= n.
+
+    The regularized incomplete beta I_p(j, n - j + 1) is what SciPy's
+    ``binom.sf(j - 1, n, p)`` evaluates, bit for bit, without the slow
+    import of the stats package. ``bdtrc`` is a different routine and
+    drifts from it in the far tail.
+    """
+    return 1.0 if j == 0 else float(betainc(j, n - j + 1, p))
+
+
 def binomial_price_sum(
     params: GbmParams, contract: OptionContract, method: LatticeMethod
 ) -> float:
@@ -257,8 +267,8 @@ def complementary_binomial_price(
         return 0.0
     growth = contract.growth_per_step()
     q_shift = min(max(q * move.u / growth, 0.0), 1.0)
-    psi_shift = float(binom.sf(j_star - 1, n, q_shift))
-    psi = float(binom.sf(j_star - 1, n, q))
+    psi_shift = _upper_tail(j_star, n, q_shift)
+    psi = _upper_tail(j_star, n, q)
     return spot * psi_shift - discount(contract.strike, contract.rate_r, contract.expiry_T) * psi
 
 

@@ -279,6 +279,10 @@ def is_bull(days: Sequence[MarketDay], spot_cpm: float) -> bool:
     return float(np.mean(usable)) > spot_cpm
 
 
+# 100 years of daily prices; checked before the path is allocated
+MAX_SIM_DAYS = 36_500
+
+
 def synthetic_market(
     sv: SvParams,
     mu: float,
@@ -291,15 +295,24 @@ def synthetic_market(
     """Seeded synthetic daily market from the SV path sampler.
 
     Constant-vol scenarios use kappa = delta = 0. Supply jitters +-10%
-    around the base level, deterministically for a given seed.
+    around the base level, deterministically for a given seed. Raises
+    ValueError above MAX_SIM_DAYS and when the path overflows.
     """
     if n_days < 1:
         raise ValueError(f"n_days must be >= 1, got {n_days}")
+    if n_days > MAX_SIM_DAYS:
+        raise ValueError(f"n_days = {n_days} exceeds supported maximum {MAX_SIM_DAYS}")
     if base_supply < 1:
         raise ValueError(f"base_supply must be >= 1, got {base_supply}")
-    path = montecarlo.sample_paths(
-        sv, mu, 1.0 / 365.0, n_days, 1, scheme, seed
-    )[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 after an overflow
+        path = montecarlo.sample_paths(
+            sv, mu, 1.0 / 365.0, n_days, 1, scheme, seed
+        )[0]
+    bad = np.flatnonzero(~np.isfinite(path))
+    if bad.size:
+        raise ValueError(
+            f"price path is not finite from day {bad[0]} of {n_days}; lower the drift or volatility"
+        )
     rng = np.random.default_rng(seed + 1)
     jitter = rng.integers(-base_supply // 10, base_supply // 10 + 1, size=n_days)
     days = []

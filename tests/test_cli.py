@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -368,6 +372,27 @@ class TestSimulate:
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and key in err
+
+    @pytest.mark.parametrize(
+        "extra,message",
+        [
+            (["--days", "200000"], "n_days = 200000 exceeds supported maximum 36500"),
+            (["--days", "100", "--drift", "1e5"], "not finite from day 3 of 100"),
+        ],
+    )
+    def test_runaway_path_exit_one(self, tmp_path, extra, message):
+        # a fresh interpreter, so that a numpy RuntimeWarning would reach stderr
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out_dir = tmp_path / "sim"
+        proc = subprocess.run(
+            [sys.executable, "-m", "firstlook.cli", *self.BULL, *extra, "--output-dir", str(out_dir)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1 and message in proc.stderr
+        assert not out_dir.exists()
 
     def test_scenario_or_market_required(self, capsys, tmp_path):
         code, _, err = run(

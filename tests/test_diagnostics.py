@@ -3,6 +3,7 @@ from datetime import date
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from firstlook.contracts import SvParams
 from firstlook.diagnostics import (
@@ -187,6 +188,19 @@ class TestLjungBox:
         q2, p2 = ljung_box([7.3 * v for v in NOISE_60], 5)
         assert q1 == pytest.approx(q2, rel=1e-10)
         assert p1 == pytest.approx(p2, rel=1e-10)
+
+    def test_p_value_bitwise_equal_to_chi2_sf(self):
+        rng = np.random.default_rng(20140103)
+        got, expected = [], []
+        for case in range(500):
+            n = int(rng.integers(10, 400))
+            lags = int(rng.integers(1, (n + 1) // 2))
+            eps = rng.standard_normal(n)
+            x = eps if case % 2 else np.cumsum(eps)  # half of them strongly autocorrelated
+            q, p = ljung_box(x, lags)
+            got.append(p.hex())
+            expected.append(float(stats.chi2.sf(q, lags)).hex())
+        assert got == expected
 
     def test_lag_bounds(self):
         with pytest.raises(ValueError, match="lags"):

@@ -1,9 +1,12 @@
 import io
 import math
+import sys
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.stats import binom
 
 from firstlook.contracts import GbmParams, OptionContract, per_click_value
 from firstlook.gbm_lattice import (
@@ -21,6 +24,7 @@ from firstlook.gbm_lattice import (
     movement_params,
     _exercise_boundary,
     _terminal_log_values,
+    _upper_tail,
     report_to_csv,
     trinomial_price,
 )
@@ -218,6 +222,50 @@ class TestExerciseBoundary:
             for strike in (0.0, *near, float(rng.uniform(0.0, 0.2)), 1e9):
                 expected = exercise_boundary_by_scan(log_values, strike)
                 assert _exercise_boundary(log_values, strike) == expected
+
+
+def upper_tails_mp(n, p):
+    """Exact P(X >= j) for j = 0..n, X ~ Binomial(n, p), summed at 50 digits."""
+    with mpmath.workdps(50):
+        p = mpmath.mpf(p)
+        term = (1 - p) ** n
+        terms = [term]
+        for i in range(n):
+            term = term * (n - i) / (i + 1) * p / (1 - p)
+            terms.append(term)
+        tails = [mpmath.mpf(0)] * (n + 1)
+        acc = mpmath.mpf(0)
+        for j in range(n, -1, -1):
+            acc += terms[j]
+            tails[j] = acc
+        return tails
+
+
+class TestUpperTail:
+    @pytest.mark.parametrize("n", [1, 2, 13, 144, 500, 2000])
+    def test_matches_exact_sum(self, n):
+        rng = np.random.default_rng(n)
+        for p in (rng.uniform(0.0, 1.0), rng.uniform(0.0, 0.01), 1.0 - rng.uniform(0.0, 0.01)):
+            exact = upper_tails_mp(n, float(p))
+            for j in sorted({0, 1, n // 2, n}):
+                got = _upper_tail(j, n, float(p))
+                if exact[j] < sys.float_info.min:
+                    # below the normal range only the underflow itself can be checked
+                    assert got < 2 * sys.float_info.min
+                else:
+                    assert abs(got - exact[j]) <= 1e-12 * exact[j], (j, n, p)
+
+    def test_bitwise_equal_to_binom_sf(self):
+        rng = np.random.default_rng(20140102)
+        got, expected = [], []
+        for case in range(2000):
+            n = int(rng.integers(1, MAX_BINOMIAL_STEPS + 1))
+            k = int(rng.integers(-1, n))
+            p = [rng.uniform(0.0, 1.0), rng.uniform(0.0, 0.01), 1.0 - rng.uniform(0.0, 0.01),
+                 0.0, 1.0][case % 5]
+            got.append(_upper_tail(k + 1, n, float(p)).hex())
+            expected.append(float(binom.sf(k, n, p)).hex())
+        assert got == expected
 
 
 class TestTrinomialPricer:

@@ -1,11 +1,14 @@
 import io
 import math
+import tracemalloc
+import warnings
 from datetime import date
 
 import pytest
 
 from firstlook.contracts import SvParams, per_click_value
 from firstlook.market_sim import (
+    MAX_SIM_DAYS,
     MarketDay,
     is_bull,
     ledger_to_csv,
@@ -187,6 +190,29 @@ class TestSyntheticMarket:
     def test_supply_jitter_bounded(self):
         days = self.forward(0.0, 3)
         assert all(7200 <= d.supply <= 8800 for d in days)
+
+    def test_day_cap_refused_before_allocating(self):
+        sv = SvParams(spot_M0=1.0, sigma0=0.5, kappa=0.0, theta=0.5, delta=0.0)
+        assert len(synthetic_market(sv, 3.0, MAX_SIM_DAYS, 10, 0)) == MAX_SIM_DAYS
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="exceeds supported maximum"):
+                synthetic_market(sv, 3.0, MAX_SIM_DAYS + 1, 10, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    @pytest.mark.parametrize(
+        "drift,sigma,first_bad",
+        [(1e5, 0.5, 3), (16_245_000.0, 5700.0, 8)],  # overflow; overflow, then inf * 0 on day 90
+    )
+    def test_non_finite_path_names_first_bad_day(self, drift, sigma, first_bad):
+        sv = SvParams(spot_M0=1.0, sigma0=sigma, kappa=0.0, theta=sigma, delta=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"not finite from day {first_bad} of 3000"):
+                synthetic_market(sv, drift, 3000, 8000, 3)
 
     def test_reserve_floor_days_excluded_from_classification(self):
         days = [
