@@ -17,6 +17,7 @@ from scipy.special import ndtri
 
 from . import diagnostics, gbm_lattice, market_sim, montecarlo, sv_lattice
 from .contracts import GbmParams, OptionContract, StrikeBasis, SvParams
+from .output import json_dump, write_table
 
 DEFAULT_SEED = 42
 EXIT_OK = 0
@@ -32,18 +33,6 @@ ALL_METHODS = (CLOSED_METHOD, *GBM_METHODS, SV_METHOD, *(MC_PREFIX + s.value for
 
 class UsageError(Exception):
     pass
-
-
-def _fmt(value: float) -> float:
-    """Round-trip a float through 12 significant digits for stable output."""
-    return float(f"{value:.12g}")
-
-
-def _json_dump(payload: dict, path: Path | None) -> None:
-    text = json.dumps(payload, indent=2)
-    if path is not None:
-        path.write_text(text + "\n")
-    print(text)
 
 
 def _add_contract_args(p: argparse.ArgumentParser) -> None:
@@ -172,59 +161,43 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _echo_inputs(args: argparse.Namespace, names: list[str]) -> dict:
-    out = {}
-    for name in names:
-        value = getattr(args, name.replace("-", "_"))
-        if isinstance(value, float):
-            value = _fmt(value)
-        out[name] = value
-    return out
-
-
 def cmd_price(args: argparse.Namespace) -> int:
     contract = _contract(args)
     method = args.method
-    report: dict = {
-        "method": method,
-        "inputs": _echo_inputs(
-            args, ["spot", "strike", "strike-basis", "ctr", "expiry", "rate", "steps"]
-        ),
+    inputs = {
+        name: getattr(args, name.replace("-", "_"))
+        for name in ("spot", "strike", "strike-basis", "ctr", "expiry", "rate", "steps")
     }
+    report: dict = {"method": method, "inputs": inputs}
 
     if method == CLOSED_METHOD or method in GBM_METHODS:
         if args.sigma is None:
             raise UsageError("--sigma is required for constant-volatility methods")
         params = GbmParams(spot_M0=args.spot, sigma=args.sigma)
-        report["inputs"]["sigma"] = _fmt(args.sigma)
+        inputs["sigma"] = args.sigma
         if method == CLOSED_METHOD:
-            price = gbm_lattice.closed_form_price(params, contract)
+            report["price"] = gbm_lattice.closed_form_price(params, contract)
         else:
             lm = gbm_lattice.LatticeMethod(gbm_lattice.MethodKind(method), args.stretch)
-            price = gbm_lattice.lattice_price(params, contract, lm)
-        report["price"] = _fmt(price)
+            report["price"] = gbm_lattice.lattice_price(params, contract, lm)
     else:
         sv = _sv_params(args)
-        report["inputs"].update(
-            sigma0=_fmt(sv.sigma0), kappa=_fmt(sv.kappa), theta=_fmt(sv.theta), delta=_fmt(sv.delta)
-        )
+        inputs.update(sigma0=sv.sigma0, kappa=sv.kappa, theta=sv.theta, delta=sv.delta)
         if method == SV_METHOD:
             lattice = sv_lattice.build_censored_lattice(sv, contract)
-            report["price"] = _fmt(sv_lattice.price_sv_option(lattice).price)
+            report["price"] = sv_lattice.price_sv_option(lattice).price
         else:
             scheme = montecarlo.Scheme(method.removeprefix(MC_PREFIX))
             cfg = montecarlo.McConfig(
                 scheme=scheme, n_paths=args.paths, steps=contract.steps_n, seed=args.seed
             )
             result = montecarlo.mc_price(sv, contract, cfg)
-            report["price"] = _fmt(result.price)
-            report["std_error"] = _fmt(result.std_error)
-            report["ci_low"] = _fmt(result.ci_low)
-            report["ci_high"] = _fmt(result.ci_high)
-            report["paths"] = result.n_paths
-            report["seed"] = args.seed
+            report.update(
+                price=result.price, std_error=result.std_error, ci_low=result.ci_low,
+                ci_high=result.ci_high, paths=result.n_paths, seed=args.seed,
+            )
 
-    _json_dump(report, args.output)
+    json_dump(report, args.output)
     return EXIT_OK
 
 
@@ -263,52 +236,38 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
 
     payload: dict = {
         "observations": len(series),
-        "alpha": _fmt(args.alpha),
-        "shapiro_w": _fmt(verdict.shapiro_w),
-        "shapiro_p": _fmt(verdict.shapiro_p),
-        "ljung_q": _fmt(verdict.ljung_q),
-        "ljung_p": _fmt(verdict.ljung_p),
+        "alpha": args.alpha,
+        "shapiro_w": verdict.shapiro_w,
+        "shapiro_p": verdict.shapiro_p,
+        "ljung_q": verdict.ljung_q,
+        "ljung_p": verdict.ljung_p,
         "is_gbm": verdict.is_gbm,
     }
     gbm = diagnostics.estimate_gbm(series) if len(series) >= 10 else None
-    payload["gbm_estimate"] = (
-        None if gbm is None else {"sigma": _fmt(gbm.sigma), "mu": _fmt(gbm.mu)}
-    )
+    payload["gbm_estimate"] = None if gbm is None else {"sigma": gbm.sigma, "mu": gbm.mu}
     try:
         sv = diagnostics.estimate_sv(series, window=args.window)
         payload["sv_estimate"] = {
-            "sigma0": _fmt(sv.sigma0),
-            "kappa": _fmt(sv.kappa),
-            "theta": _fmt(sv.theta),
-            "delta": _fmt(sv.delta),
+            "sigma0": sv.sigma0, "kappa": sv.kappa, "theta": sv.theta, "delta": sv.delta
         }
     except ValueError:
         payload["sv_estimate"] = None
 
-    (out / "verdict.json").write_text(json.dumps(payload, indent=2) + "\n")
-
     ratios = diagnostics.log_ratios(series)
-    with open(out / "acf.csv", "w", newline="") as fh:
-        fh.write("lag,value,band\n")
-        for lag, value, band in verdict.acf.rows():
-            fh.write(f"{lag},{value:.12g},{band:.12g}\n")
-
     ordered = np.sort(ratios)
     std = ordered.std(ddof=1)
     standardized = (ordered - ordered.mean()) / (std if std > 0 else 1.0)
     grid = (np.arange(1, ordered.size + 1) - 0.5) / ordered.size
-    with open(out / "qq.csv", "w", newline="") as fh:
-        fh.write("theoretical,sample\n")
-        for t, s in zip(ndtri(grid), standardized):
-            fh.write(f"{t:.12g},{s:.12g}\n")
-
     counts, edges = np.histogram(ratios, bins=10)
-    with open(out / "hist.csv", "w", newline="") as fh:
-        fh.write("bin_left,bin_right,count\n")
-        for i, c in enumerate(counts):
-            fh.write(f"{edges[i]:.12g},{edges[i + 1]:.12g},{int(c)}\n")
-
-    print(json.dumps(payload, indent=2))
+    tables = {
+        "acf.csv": (["lag", "value", "band"], verdict.acf.rows()),
+        "qq.csv": (["theoretical", "sample"], zip(ndtri(grid), standardized)),
+        "hist.csv": (["bin_left", "bin_right", "count"], zip(edges[:-1], edges[1:], counts)),
+    }
+    for name, (header, rows) in tables.items():
+        with open(out / name, "w", newline="") as fh:
+            write_table(fh, header, rows, lineterminator="\n")
+    json_dump(payload, out / "verdict.json")
     return EXIT_OK
 
 
@@ -416,12 +375,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         )
     option_price = float(option_price)
 
-    out = args.output_dir
-    out.mkdir(parents=True, exist_ok=True)
     rtb = market_sim.simulate_rtb(budget, days, ctr)
     options = market_sim.simulate_options(budget, days, ctr, option_price, strike_cpc)
     revenue = market_sim.revenue_analysis(days, ctr, sell_ratio, option_price, strike_cpc)
 
+    out = args.output_dir
+    out.mkdir(parents=True, exist_ok=True)
     with open(out / "rtb.csv", "w", newline="") as fh:
         market_sim.ledger_to_csv(rtb, fh)
     with open(out / "options.csv", "w", newline="") as fh:
@@ -429,17 +388,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     with open(out / "revenue.csv", "w", newline="") as fh:
         market_sim.revenue_to_csv(revenue, fh)
 
-    summary = {
-        "option_price": _fmt(option_price),
+    json_dump({
+        "option_price": option_price,
         "bull_market": market_sim.is_bull(days, spot),
         "rtb_clicks": rtb.total_clicks,
         "option_clicks": options.total_clicks,
-        "rtb_cost_per_click": _fmt(rtb.cost_per_click) if rtb.total_clicks else None,
-        "option_cost_per_click": _fmt(options.cost_per_click) if options.total_clicks else None,
-        "mean_revenue": _fmt(revenue.mean_revenue),
-        "std_revenue": _fmt(revenue.std_revenue),
-    }
-    print(json.dumps(summary, indent=2))
+        "rtb_cost_per_click": rtb.cost_per_click if rtb.total_clicks else None,
+        "option_cost_per_click": options.cost_per_click if options.total_clicks else None,
+        "mean_revenue": revenue.mean_revenue,
+        "std_revenue": revenue.std_revenue,
+    })
     return EXIT_OK
 
 

@@ -276,18 +276,16 @@ def _smooth(x: np.ndarray, window: int) -> np.ndarray:
 
 
 def l2_fitness(
-    actual: PriceSeries, simulated: PriceSeries, smooth_window: int = 5
+    actual: np.ndarray, simulated: np.ndarray, smooth_window: int = 5
 ) -> tuple[float, float]:
     """Euclidean distance between two equal-length paths, raw and smoothed."""
-    a = actual.values
-    s = simulated.values
-    if a.size != s.size:
-        raise ValueError(f"length mismatch: {a.size} vs {s.size}")
-    if smooth_window > a.size:
+    if actual.size != simulated.size:
+        raise ValueError(f"length mismatch: {actual.size} vs {simulated.size}")
+    if smooth_window > actual.size:
         raise ValueError("smooth_window larger than the series")
-    raw = float(np.linalg.norm(a - s))
-    smoothed = float(np.linalg.norm(_smooth(a, smooth_window) - _smooth(s, smooth_window)))
-    return raw, smoothed
+    raw = float(np.linalg.norm(actual - simulated))
+    smoothed = _smooth(actual, smooth_window) - _smooth(simulated, smooth_window)
+    return raw, float(np.linalg.norm(smoothed))
 
 
 @dataclass(frozen=True)
@@ -321,6 +319,8 @@ def fitness_comparison(
     price ``n_instances`` times under the estimated real-world drift, and
     scored by the median distance to the actual path.
     """
+    if n_instances < 1:
+        raise ValueError(f"n_instances must be >= 1, got {n_instances}")
     gbm = estimate_gbm(actual)
     sv = estimate_sv(actual, window)
     steps = len(actual) - 1
@@ -337,13 +337,9 @@ def fitness_comparison(
         sv_from, gbm.mu, dt, steps, n_instances, Scheme.EULER, seed + 1
     )
     target = actual.values
-    target_smooth = _smooth(target, smooth_window)
 
     def median_l2(paths: np.ndarray) -> tuple[float, float]:
-        raws, smooths = [], []
-        for row in paths:
-            raws.append(float(np.linalg.norm(target - row)))
-            smooths.append(float(np.linalg.norm(target_smooth - _smooth(row, smooth_window))))
+        raws, smooths = zip(*(l2_fitness(target, row, smooth_window) for row in paths))
         return float(np.median(raws)), float(np.median(smooths))
 
     gbm_raw, gbm_smoothed = median_l2(gbm_paths)

@@ -7,7 +7,6 @@ of them.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -17,6 +16,7 @@ import numpy as np
 from scipy.special import betainc, gammaln
 
 from .contracts import GbmParams, OptionContract, discount, underlying_value
+from .output import write_table
 
 DEFAULT_STRETCH = math.sqrt(1.5)
 
@@ -371,7 +371,7 @@ def convergence_report(
 
 def report_to_csv(rows: Iterable[ConvergenceRow], stream: IO[str]) -> None:
     """Serialize a convergence report with header method,n,price,abs_error."""
-    writer = csv.writer(stream)
-    writer.writerow(["method", "n", "price", "abs_error"])
-    for row in rows:
-        writer.writerow([row.method, row.n, f"{row.price:.12g}", f"{row.abs_error:.12g}"])
+    write_table(
+        stream, ["method", "n", "price", "abs_error"],
+        ((row.method, row.n, row.price, row.abs_error) for row in rows),
+    )

@@ -9,10 +9,10 @@ strike.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import date, timedelta
+from operator import attrgetter
 from typing import IO, Sequence
 
 import numpy as np
@@ -20,6 +20,7 @@ import numpy as np
 from . import montecarlo
 from .contracts import SvParams, per_click_value
 from .montecarlo import Scheme
+from .output import write_table
 
 
 @dataclass(frozen=True)
@@ -88,42 +89,84 @@ class SimulationLedger:
         return self.total_spend / clicks if clicks else math.inf
 
 
-def _rtb_fill(budget: float, day: MarketDay, ctr: float) -> tuple[int, int, float]:
+def _check_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _rtb_fill(budget: float, cpm: float, supply: int, ctr: float) -> tuple[int, int, float]:
     """Impressions, clicks and spend when a budget meets the spot market."""
-    price_per_impression = day.avg_cpm / 1000.0
+    price_per_impression = cpm / 1000.0
     affordable = int(math.floor(budget / price_per_impression)) if budget > 0 else 0
-    impressions = min(day.supply, affordable)
+    impressions = min(supply, affordable)
     spend = impressions * price_per_impression
     clicks = int(math.floor(impressions * ctr))
     return impressions, clicks, spend
+
+
+def _deliver(
+    budget: float,
+    days: Sequence[MarketDay],
+    ctr: float,
+    held: int = 0,
+    option_price: float = 0.0,
+    strike_cpc: float = 0.0,
+    clicks_per_option: int = 1,
+) -> tuple[LedgerRow, ...]:
+    """Ledger rows of ``held`` options bought out of each day's budget.
+
+    Options are exercised when the spot per-click value strictly exceeds
+    the strike; the leftover budget goes to the spot market.
+    """
+    premium = held * option_price
+    rows = []
+    for day in days:
+        remaining = budget - premium
+        exercised = clicks_opt = impressions_opt = 0
+        strike_spend = 0.0
+        if held and per_click_value(day.avg_cpm, ctr) > strike_cpc:
+            by_supply = int(math.floor(day.supply * ctr)) // clicks_per_option
+            by_budget = (
+                int(math.floor(remaining / (strike_cpc * clicks_per_option)))
+                if strike_cpc > 0
+                else held
+            )
+            exercised = min(held, by_supply, by_budget)
+            clicks_opt = exercised * clicks_per_option
+            impressions_opt = int(math.floor(clicks_opt / ctr))
+            strike_spend = clicks_opt * strike_cpc
+            remaining -= strike_spend
+        impressions, clicks, spend = _rtb_fill(
+            remaining, day.avg_cpm, day.supply - impressions_opt, ctr
+        )
+        rows.append(
+            LedgerRow(
+                day=day.day,
+                avg_cpm=day.avg_cpm,
+                supply=day.supply,
+                budget=budget,
+                premium_paid=premium,
+                options_held=held,
+                options_exercised=exercised,
+                impressions=impressions_opt + impressions,
+                clicks=clicks_opt + clicks,
+                spend=strike_spend + spend,
+            )
+        )
+    return tuple(rows)
 
 
 def simulate_rtb(
     budget_per_day: float, days: Sequence[MarketDay], ctr: float
 ) -> SimulationLedger:
     """Spot-market-only delivery with a fixed daily budget."""
+    _check_finite(budget_per_day=budget_per_day)
     if budget_per_day < 0:
         raise ValueError(f"budget_per_day must be >= 0, got {budget_per_day}")
     if not 0 < ctr <= 1:
         raise ValueError(f"ctr must be in (0, 1], got {ctr}")
-    rows = []
-    for day in days:
-        impressions, clicks, spend = _rtb_fill(budget_per_day, day, ctr)
-        rows.append(
-            LedgerRow(
-                day=day.day,
-                avg_cpm=day.avg_cpm,
-                supply=day.supply,
-                budget=budget_per_day,
-                premium_paid=0.0,
-                options_held=0,
-                options_exercised=0,
-                impressions=impressions,
-                clicks=clicks,
-                spend=spend,
-            )
-        )
-    return SimulationLedger(rows=tuple(rows))
+    return SimulationLedger(rows=_deliver(budget_per_day, days, ctr))
 
 
 def simulate_options(
@@ -141,6 +184,7 @@ def simulate_options(
     them whenever the spot per-click value strictly exceeds the strike;
     leftover budget goes to the spot market either way.
     """
+    _check_finite(budget_per_day=budget_per_day, option_price=option_price, strike_cpc=strike_cpc)
     if budget_per_day <= 0:
         raise ValueError(f"budget_per_day must be > 0, got {budget_per_day}")
     if not 0 < ctr <= 1:
@@ -150,61 +194,12 @@ def simulate_options(
     if clicks_per_option < 1:
         raise ValueError(f"clicks_per_option must be >= 1, got {clicks_per_option}")
 
-    if option_price >= budget_per_day:
-        base = simulate_rtb(budget_per_day, days, ctr)
-        return SimulationLedger(rows=base.rows, degenerate_rtb=True)
-
+    # a premium at or above the budget buys nothing: spot-only delivery
+    degenerate = option_price >= budget_per_day
     cost_per_option = option_price + strike_cpc * clicks_per_option
-    rows = []
-    for day in days:
-        held = (
-            int(math.floor(budget_per_day / cost_per_option)) if cost_per_option > 0 else 0
-        )
-        premium = held * option_price
-        remaining = budget_per_day - premium
-
-        exercised = 0
-        clicks_opt = 0
-        impressions_opt = 0
-        strike_spend = 0.0
-        market_per_click = per_click_value(day.avg_cpm, ctr)
-        if market_per_click > strike_cpc:
-            click_capacity = int(math.floor(day.supply * ctr))
-            by_supply = click_capacity // clicks_per_option
-            by_budget = (
-                int(math.floor(remaining / (strike_cpc * clicks_per_option)))
-                if strike_cpc > 0
-                else held
-            )
-            exercised = min(held, by_supply, by_budget)
-            clicks_opt = exercised * clicks_per_option
-            impressions_opt = int(math.floor(clicks_opt / ctr))
-            strike_spend = clicks_opt * strike_cpc
-            remaining -= strike_spend
-
-        spot_day = MarketDay(
-            day=day.day,
-            avg_cpm=day.avg_cpm,
-            supply=day.supply - impressions_opt,
-            reserve_floor=day.reserve_floor,
-        )
-        impressions_rtb, clicks_rtb, rtb_spend = _rtb_fill(remaining, spot_day, ctr)
-
-        rows.append(
-            LedgerRow(
-                day=day.day,
-                avg_cpm=day.avg_cpm,
-                supply=day.supply,
-                budget=budget_per_day,
-                premium_paid=premium,
-                options_held=held,
-                options_exercised=exercised,
-                impressions=impressions_opt + impressions_rtb,
-                clicks=clicks_opt + clicks_rtb,
-                spend=strike_spend + rtb_spend,
-            )
-        )
-    return SimulationLedger(rows=tuple(rows))
+    held = 0 if degenerate or cost_per_option <= 0 else math.floor(budget_per_day / cost_per_option)
+    rows = _deliver(budget_per_day, days, ctr, held, option_price, strike_cpc, clicks_per_option)
+    return SimulationLedger(rows=rows, degenerate_rtb=degenerate)
 
 
 @dataclass(frozen=True)
@@ -241,6 +236,7 @@ def revenue_analysis(
     options earn the strike while the rest of the supply clears at the
     spot CPM. Premium income is attributed to the day it covers.
     """
+    _check_finite(option_price=option_price, strike_cpc=strike_cpc)
     if not 0 <= sell_ratio <= 1:
         raise ValueError(f"sell_ratio must be in [0, 1], got {sell_ratio}")
     if not 0 < ctr <= 1:
@@ -296,7 +292,8 @@ def synthetic_market(
 
     Constant-vol scenarios use kappa = delta = 0. Supply jitters +-10%
     around the base level, deterministically for a given seed. Raises
-    ValueError above MAX_SIM_DAYS and when the path overflows.
+    ValueError above MAX_SIM_DAYS and when the path overflows or
+    underflows to zero.
     """
     if n_days < 1:
         raise ValueError(f"n_days must be >= 1, got {n_days}")
@@ -308,10 +305,11 @@ def synthetic_market(
         path = montecarlo.sample_paths(
             sv, mu, 1.0 / 365.0, n_days, 1, scheme, seed
         )[0]
-    bad = np.flatnonzero(~np.isfinite(path))
+    bad = np.flatnonzero(~(np.isfinite(path) & (path > 0)))
     if bad.size:
+        what = "not finite" if not np.isfinite(path[bad[0]]) else "zero"
         raise ValueError(
-            f"price path is not finite from day {bad[0]} of {n_days}; lower the drift or volatility"
+            f"price path is {what} from day {bad[0]} of {n_days}; lower the drift or volatility"
         )
     rng = np.random.default_rng(seed + 1)
     jitter = rng.integers(-base_supply // 10, base_supply // 10 + 1, size=n_days)
@@ -328,65 +326,14 @@ def synthetic_market(
 
 
 def ledger_to_csv(ledger: SimulationLedger, stream: IO[str]) -> None:
-    writer = csv.writer(stream)
-    writer.writerow(
-        [
-            "date",
-            "avg_cpm",
-            "supply",
-            "budget",
-            "premium_paid",
-            "options_held",
-            "options_exercised",
-            "impressions",
-            "clicks",
-            "spend",
-        ]
-    )
-    for r in ledger.rows:
-        writer.writerow(
-            [
-                r.day.isoformat(),
-                f"{r.avg_cpm:.12g}",
-                r.supply,
-                f"{r.budget:.12g}",
-                f"{r.premium_paid:.12g}",
-                r.options_held,
-                r.options_exercised,
-                r.impressions,
-                r.clicks,
-                f"{r.spend:.12g}",
-            ]
-        )
-    writer.writerow(
-        [
-            "total",
-            "",
-            sum(r.supply for r in ledger.rows),
-            f"{ledger.total_budget:.12g}",
-            f"{ledger.total_premium:.12g}",
-            sum(r.options_held for r in ledger.rows),
-            sum(r.options_exercised for r in ledger.rows),
-            ledger.total_impressions,
-            ledger.total_clicks,
-            f"{sum(r.spend for r in ledger.rows):.12g}",
-        ]
-    )
+    names = [f.name for f in fields(LedgerRow)]
+    rows = [*map(attrgetter(*names), ledger.rows)]
+    # the total row sums every column after the date and the CPM
+    rows.append(("total", None, *(sum(getattr(r, n) for r in ledger.rows) for n in names[2:])))
+    write_table(stream, ["date", *names[1:]], rows)
 
 
 def revenue_to_csv(report: RevenueReport, stream: IO[str]) -> None:
-    writer = csv.writer(stream)
-    writer.writerow(["date", "premium_income", "strike_income", "rtb_income", "total"])
-    for d in report.series:
-        writer.writerow(
-            [
-                d.day.isoformat(),
-                f"{d.premium_income:.12g}",
-                f"{d.strike_income:.12g}",
-                f"{d.rtb_income:.12g}",
-                f"{d.total:.12g}",
-            ]
-        )
-    writer.writerow(
-        ["summary", f"{report.mean_revenue:.12g}", f"{report.std_revenue:.12g}", "", ""]
-    )
+    rows = [(d.day, d.premium_income, d.strike_income, d.rtb_income, d.total) for d in report.series]
+    rows.append(("summary", report.mean_revenue, report.std_revenue, None, None))
+    write_table(stream, ["date", "premium_income", "strike_income", "rtb_income", "total"], rows)

@@ -7,7 +7,6 @@ positive, and the volatility is floored at zero after every step.
 
 from __future__ import annotations
 
-import csv
 import math
 from collections import deque
 from dataclasses import dataclass, replace
@@ -17,6 +16,7 @@ from typing import IO, Iterable, Iterator, Sequence
 import numpy as np
 
 from .contracts import OptionContract, SvParams, discount, payoff
+from .output import write_table
 from .sv_lattice import build_censored_lattice, price_sv_option
 
 # cost bounds checked before any path array exists: a path array is 80 MB
@@ -215,17 +215,11 @@ def containment_sweep(
 
 
 def sweep_to_csv(rows: Iterable[SweepRow], stream: IO[str]) -> None:
-    writer = csv.writer(stream)
-    writer.writerow(["param", "value", "lattice_price", "mc_price", "ci_low", "ci_high", "verdict"])
-    for row in rows:
-        writer.writerow(
-            [
-                row.param,
-                f"{row.value:.12g}",
-                f"{row.lattice_price:.12g}",
-                f"{row.mc_price:.12g}",
-                f"{row.ci_low:.12g}",
-                f"{row.ci_high:.12g}",
-                row.verdict.value,
-            ]
-        )
+    write_table(
+        stream,
+        ["param", "value", "lattice_price", "mc_price", "ci_low", "ci_high", "verdict"],
+        (
+            (r.param, r.value, r.lattice_price, r.mc_price, r.ci_low, r.ci_high, r.verdict.value)
+            for r in rows
+        ),
+    )

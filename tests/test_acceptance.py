@@ -279,7 +279,7 @@ def test_criterion_10_market_simulation_directions():
     assert bull_pub >= 0.8 * n_seeds
 
 
-def test_criterion_11_cli_determinism(tmp_path):
+def test_criterion_11_cli_determinism(tmp_path, child_env):
     market = tmp_path / "series.csv"
     rng = np.random.default_rng(23)
     prices = 2.0 * np.exp(np.cumsum(0.5 * math.sqrt(1 / 365) * rng.standard_normal(40)))
@@ -318,7 +318,7 @@ def test_criterion_11_cli_determinism(tmp_path):
         for argv in commands(out_dir):
             proc = subprocess.run(
                 [sys.executable, "-m", "firstlook.cli", *argv],
-                capture_output=True, text=True, timeout=300,
+                capture_output=True, text=True, env=child_env, timeout=300,
             )
             assert proc.returncode == 0, proc.stderr
             stdout_blobs.append(proc.stdout)

@@ -1,10 +1,9 @@
+import hashlib
 import json
 import math
-import os
 import subprocess
 import sys
 import tracemalloc
-from pathlib import Path
 
 import pytest
 
@@ -380,18 +379,37 @@ class TestSimulate:
             (["--days", "100", "--drift", "1e5"], "not finite from day 3 of 100"),
         ],
     )
-    def test_runaway_path_exit_one(self, tmp_path, extra, message):
+    def test_runaway_path_exit_one(self, tmp_path, child_env, extra, message):
         # a fresh interpreter, so that a numpy RuntimeWarning would reach stderr
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         out_dir = tmp_path / "sim"
         proc = subprocess.run(
             [sys.executable, "-m", "firstlook.cli", *self.BULL, *extra, "--output-dir", str(out_dir)],
-            capture_output=True, text=True, env=env, timeout=120,
+            capture_output=True, text=True, env=child_env, timeout=120,
         )
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr.count("\n") == 1 and message in proc.stderr
+        assert not out_dir.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "extra,message",
+        [
+            (["--days", "3000", "--drift", "1e5", "--sigma", "30000"], "price path is zero from day 1 of 3000"),
+            (["--budget", "inf"], "budget_per_day must be finite, got inf"),
+            (["--budget", "nan"], "budget_per_day must be finite, got nan"),
+            (["--option-price", "inf"], "option_price must be finite, got inf"),
+            (["--option-price", "nan"], "option_price must be finite, got nan"),
+            (["--option-price", "0.01", "--strike-cpc", "inf"], "strike_cpc must be finite, got inf"),
+        ],
+        ids=["underflow", "budget-inf", "budget-nan", "premium-inf", "premium-nan", "strike-inf"],
+    )
+    def test_bad_input_one_line_exit_one(self, capsys, tmp_path, extra, message):
+        out_dir = tmp_path / "sim"
+        code, out, err = run(capsys, [*self.BULL, *extra, "--output-dir", str(out_dir)])
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and message in err
         assert not out_dir.exists()
 
     def test_scenario_or_market_required(self, capsys, tmp_path):
@@ -401,3 +419,131 @@ class TestSimulate:
              "--output-dir", str(tmp_path / "o")],
         )
         assert code == 2
+
+
+class TestFrozenOutputs:
+    """SHA-256 of each command's exit code, stdout, stderr and output files.
+
+    Captured from numpy 2.4 on x86-64 before the CSV and JSON writers were
+    folded into ``firstlook.output``; a refactor must leave every byte as is.
+    """
+
+    MARKET_FLAGS = ["--input", "{in}/series.csv", "--output-dir", "{out}/diag"]
+    SIM_FLAGS = [
+        "simulate", "--scenario", "bull", "--days", "10", "--spot-cpm", "1.0",
+        "--sigma", "0.5", "--supply", "8000", "--budget", "5.0", "--strike-cpc", "0.03",
+        "--sell-ratio", "0.2", "--seed", "3", "--output-dir", "{out}/sim",
+    ]
+    COMMANDS = {
+        "c11-price": [
+            "price", "--method", "mc-euler", "--spot", "20", "--strike", "0.633",
+            "--expiry", str(31 / 365), "--steps", "50", "--sigma0", "0.5", "--kappa", "3",
+            "--theta", "0.75", "--delta", "0.35", "--paths", "20000", "--seed", "42",
+            "--output", "{out}/price.json",
+        ],
+        "c11-converge": [
+            "converge", *ITM_FLAGS, "--sigma", "0.5", "--n-values", "10,50",
+            "--output", "{out}/conv.csv",
+        ],
+        "c11-diagnose": ["diagnose", *MARKET_FLAGS],
+        "c11-validate": [
+            "validate", "--spot", "20", "--strike", "0.633", "--expiry", str(31 / 365),
+            "--steps", "50", "--sigma0", "0.5", "--kappa", "3", "--theta", "0.75",
+            "--delta", "0.35", "--param", "kappa", "--lo", "2", "--hi", "4", "--points", "2",
+            "--paths", "20000", "--mc-steps", "50", "--seed", "42", "--output", "{out}/sweep.csv",
+        ],
+        "c11-simulate": SIM_FLAGS,
+        **{
+            f"price-{method}": [
+                "price", "--method", method, *ITM_FLAGS, "--sigma", "0.5", "--steps", "200",
+                "--output", "{out}/price.json",
+            ]
+            for method in ("closed", "crr", "tian-bin", "haahtela", "boyle-trin", "kr-trin", "tian-trin")
+        },
+        **{
+            f"price-{method}": [
+                "price", "--method", method, *SV_FLAGS, "--paths", "5000", "--seed", "9",
+                "--output", "{out}/price.json",
+            ]
+            for method in ("sv-lattice", "mc-euler", "mc-milstein")
+        },
+        "converge-failing-rows": [
+            "converge", "--spot", "2.0", "--strike", "0.005", "--ctr", "0.3", "--expiry", "2.0",
+            "--rate", "3.0", "--sigma", "0.05", "--methods", "crr,tian-bin,tian-trin",
+            "--n-values", "1,2,20", "--output", "{out}/conv.csv",
+        ],
+        "diagnose-options": [
+            "diagnose", *MARKET_FLAGS, "--lags", "3", "--window", "5", "--alpha", "0.1",
+        ],
+        "simulate-market": [
+            "simulate", "--market", "{in}/market.csv", "--budget", "5.0", "--strike-cpc", "0.02",
+            "--sigma", "0.5", "--supply", "8000", "--output-dir", "{out}/sim",
+        ],
+        "simulate-config": ["simulate", "--config", "{in}/scenario.json", "--output-dir", "{out}/sim"],
+        "simulate-premium-at-budget": [*SIM_FLAGS, "--option-price", "5.0"],
+        "simulate-premium-above-budget": [*SIM_FLAGS, "--option-price", "7.5"],
+        "refuse-missing-sigma": ["price", "--method", "closed", *ITM_FLAGS],
+        "refuse-crr-probability": [
+            "price", "--method", "crr", "--spot", "2.0", "--strike", "0.005", "--ctr", "0.3",
+            "--expiry", "2.0", "--rate", "3.0", "--steps", "1", "--sigma", "0.05",
+        ],
+    }
+    DIGESTS = {
+        "c11-converge": "70117bca8e82f492e855528be64e48d8e0c6835f396e3260768626dbaf1b4126",
+        "c11-diagnose": "651a4317dddf479dd5e653b088f2ecdd9bcc1931ce80df30e0f42dd670070f6b",
+        "c11-price": "ed475a1aaa68fecb0e7247ba5a11ccc408949e2b54147a7ac92f6f92b2bf48a3",
+        "c11-simulate": "1fe0626f40e6f61fd1b7492a100c77501991314d2da16d13816fc09f12f0d7e6",
+        "c11-validate": "000c4783e7cde1134e2d8965c538a9609dd84d0783d884e02e08016b36d59ea7",
+        "converge-failing-rows": "6cf6a26d3c4dc1f3e76a1f833ae1a1f0da457da4ce4ea5ca4bf8d1926b0f4c3a",
+        "diagnose-options": "67d57db2ee4dc7db93b74e25d6c885649b3e0e19283f1ed50613086df2f967da",
+        "price-boyle-trin": "c21a90311043592c11b354cbc873f9cb7df8b0d8748e0e3eb4cbf1b3ad481e56",
+        "price-closed": "3a7421fdf1cac7612559b87be8aa0dab409487ceb774fc0aa32d47881d078f33",
+        "price-crr": "26daecc366fa98e0a7a393038961e98e76c7620395e0fb311592ebe851ad91c0",
+        "price-haahtela": "e899306a0e50d2070355e33d0cb7739196e23cba5234fc2f2998ba91449f0842",
+        "price-kr-trin": "aaa3521c14b104fdca1cec6f248812cbbbb30ab276ee77ef89972df69fc0f8f8",
+        "price-mc-euler": "a44e223d78d36d1acd1c8e2dbc45c0b407afb23bdd60f5afeea780feb6ff8202",
+        "price-mc-milstein": "93cfb7a69b579e42e76c217b463c28577168e9e17833b80bd53729f5007fea17",
+        "price-sv-lattice": "7948f213e03cf58f9971a2a0db4366b9c6e8bee57808542275e4512fc126b784",
+        "price-tian-bin": "8145d7b3c0a5424448afebe332cf611a2e97db12e5409ffb636063b1dfe30361",
+        "price-tian-trin": "e217c2b88471e013085c21c756e9387e0fcb9f2d049110bcc88860c53bc5ba00",
+        "refuse-crr-probability": "b2b862d6fc672ee74c5f2dd78d7ccb1ced1959b7df959444ab7b1ca368b7a0d2",
+        "refuse-missing-sigma": "1f89b4414c456e26ab10e75a5d8b4205566824fa1c730b84c1e37a5f18cfee53",
+        "simulate-config": "f627d74229e2f46fe69a6df0fc4268e3762856140f3b5f92705ef8a40258afc1",
+        "simulate-market": "ce332cb595ee38f6dc35a941857d744d0da719efc6719c14c58e80ef05f652cd",
+        "simulate-premium-above-budget": "69fb0f7bbad209505901d03a6a91e6c0588b667a95bcf92391baae57b0371bcf",
+        "simulate-premium-at-budget": "0380f98a28031b0ae191d9f3fc72461a386a7b96d0fdcb988d0899c181a5c391",
+    }
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        import numpy as np
+        from datetime import date, timedelta
+
+        folder = tmp_path / "in"
+        folder.mkdir()
+        rng = np.random.default_rng(23)
+        prices = 2.0 * np.exp(np.cumsum(0.5 * math.sqrt(1 / 365) * rng.standard_normal(40)))
+        start = date(2013, 1, 8)
+        lines = ["date,price"] + [
+            f"{(start + timedelta(days=i)).isoformat()},{p:.8f}" for i, p in enumerate(prices)
+        ]
+        (folder / "series.csv").write_text("\n".join(lines) + "\n")
+        lines = ["date,price"] + [f"2013-02-{8 + i:02d},{0.74 + 0.02 * i}" for i in range(7)]
+        (folder / "market.csv").write_text("\n".join(lines) + "\n")
+        (folder / "scenario.json").write_text(json.dumps({
+            "scenario": "bear", "days": 30, "spot_cpm": 1.0, "sigma": 0.5,
+            "supply": 5000, "budget": 4.0, "strike_cpc": 0.04, "sell_ratio": 0.8, "seed": 11,
+        }))
+        return folder
+
+    @pytest.mark.parametrize("name", sorted(COMMANDS))
+    def test_output_bytes(self, capsys, tmp_path, inputs, name):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        argv = [a.replace("{in}", str(inputs)).replace("{out}", str(out_dir)) for a in self.COMMANDS[name]]
+        code, out, err = run(capsys, argv)
+        digest = hashlib.sha256(f"{code}\0{out}\0{err}\0".encode())
+        for path in sorted(p for p in out_dir.rglob("*") if p.is_file()):
+            digest.update(path.relative_to(out_dir).as_posix().encode() + b"\0")
+            digest.update(path.read_bytes() + b"\0")
+        assert digest.hexdigest() == self.DIGESTS[name]

@@ -358,19 +358,19 @@ class TestEstimateSv:
 
 class TestL2Fitness:
     def test_identical_series(self):
-        s = gbm_series(seed=11)
+        s = gbm_series(seed=11).values
         assert l2_fitness(s, s) == (0.0, 0.0)
 
     def test_constant_offset(self):
-        a = PriceSeries.from_prices([1.0] * 16)
-        b = PriceSeries.from_prices([1.5] * 16)
+        a = np.full(16, 1.0)
+        b = np.full(16, 1.5)
         raw, smoothed = l2_fitness(a, b, smooth_window=5)
         assert raw == pytest.approx(0.5 * 4.0)
         assert smoothed == pytest.approx(0.5 * math.sqrt(12))
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
-            l2_fitness(gbm_series(n=10), gbm_series(n=12))
+            l2_fitness(gbm_series(n=10).values, gbm_series(n=12).values)
 
     def test_fitness_comparison_runs(self):
         sv = SvParams(spot_M0=20.0, sigma0=0.5, kappa=3.0, theta=0.75, delta=0.35)
@@ -378,3 +378,5 @@ class TestL2Fitness:
         cmp = fitness_comparison(PriceSeries.from_prices(path), n_instances=5, seed=1)
         assert cmp.gbm_raw > 0 and cmp.sv_raw > 0
         assert cmp.gbm_smoothed <= cmp.gbm_raw * 1.5
+        with pytest.raises(ValueError, match="n_instances must be >= 1"):
+            fitness_comparison(PriceSeries.from_prices(path), n_instances=0)

@@ -100,13 +100,15 @@ class TestSimulateOptions:
         ledger = simulate_options(5.0, flat_market(1.0, 3, supply=8000), CTR, 0.001, strike)
         assert all(r.options_exercised == 0 for r in ledger.rows)
 
-    def test_premium_at_budget_degenerates_to_rtb(self):
+    @pytest.mark.parametrize("strike", [0.02, 0.0])  # with a zero strike one option fits the budget
+    def test_premium_at_budget_degenerates_to_rtb(self, strike):
         days = flat_market(1.0, 3, supply=8000)
-        ledger = simulate_options(5.0, days, CTR, option_price=5.0, strike_cpc=0.02)
+        ledger = simulate_options(5.0, days, CTR, option_price=5.0, strike_cpc=strike)
         pure = simulate_rtb(5.0, days, CTR)
         assert ledger.degenerate_rtb
         assert ledger.total_clicks == pure.total_clicks
         assert ledger.total_spend == pytest.approx(pure.total_spend)
+        assert ledger.rows == pure.rows
 
     def test_supply_cap_limits_exercise(self):
         ledger = simulate_options(5.0, [day(1.0, supply=1000)], CTR, 0.004, 0.02)
@@ -214,6 +216,13 @@ class TestSyntheticMarket:
             with pytest.raises(ValueError, match=f"not finite from day {first_bad} of 3000"):
                 synthetic_market(sv, drift, 3000, 8000, 3)
 
+    def test_underflowed_path_names_first_zero_day(self):
+        sv = SvParams(spot_M0=1.0, sigma0=30_000.0, kappa=0.0, theta=30_000.0, delta=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="price path is zero from day 1 of 3000"):
+                synthetic_market(sv, 1e5, 3000, 8000, 3)
+
     def test_reserve_floor_days_excluded_from_classification(self):
         days = [
             MarketDay(day=date(2013, 2, 8), avg_cpm=0.01, supply=100, reserve_floor=True),
@@ -252,6 +261,19 @@ class TestValidation:
             MarketDay(day=date(2013, 2, 8), avg_cpm=0.0, supply=10)
         with pytest.raises(ValueError):
             MarketDay(day=date(2013, 2, 8), avg_cpm=1.0, supply=-1)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_money_inputs_named(self, bad):
+        days = flat_market(1.0, 2)
+        with pytest.raises(ValueError, match="budget_per_day must be finite"):
+            simulate_rtb(bad, days, CTR)
+        with pytest.raises(ValueError, match="budget_per_day must be finite"):
+            simulate_options(bad, days, CTR, 0.01, 0.02)
+        for name, args in (("option_price", (bad, 0.02)), ("strike_cpc", (0.01, bad))):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                simulate_options(5.0, days, CTR, *args)
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                revenue_analysis(days, CTR, 0.2, *args)
 
     def test_simulate_inputs_validated(self):
         with pytest.raises(ValueError):

@@ -6,18 +6,12 @@ interpreter on a tiny input and reports whether the module was loaded.
 """
 
 import json
-import os
 import subprocess
 import sys
 from datetime import date, timedelta
-from pathlib import Path
 
 import numpy as np
 import pytest
-
-import firstlook
-
-SRC = Path(firstlook.__file__).resolve().parents[1]
 
 PROBE = """
 import contextlib, io, json, sys
@@ -34,8 +28,7 @@ SV = [
 ]
 
 
-def run_fresh(argv, cwd):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+def run_fresh(argv, cwd, env):
     proc = subprocess.run(
         [sys.executable, "-c", PROBE, json.dumps(argv)],
         capture_output=True, text=True, cwd=cwd, env=env, timeout=120,
@@ -60,19 +53,21 @@ def run_fresh(argv, cwd):
     ],
     ids=["closed", "crr", "kr-trin", "sv-lattice", "mc-euler", "converge", "validate", "simulate"],
 )
-def test_command_does_not_import_scipy_stats(tmp_path, argv):
-    result = run_fresh(argv, tmp_path)
+def test_command_does_not_import_scipy_stats(tmp_path, child_env, argv):
+    result = run_fresh(argv, tmp_path, child_env)
     assert result["code"] == 0
     assert result["scipy.stats"] is False
 
 
-def test_diagnose_imports_scipy_stats(tmp_path):
+def test_diagnose_imports_scipy_stats(tmp_path, child_env):
     # the probe must be able to see the import where Shapiro-Wilk runs
     rng = np.random.default_rng(0)
     prices = 2.0 * np.exp(np.concatenate([[0.0], np.cumsum(0.03 * rng.standard_normal(59))]))
     start = date(2013, 1, 8)
     lines = ["date,price"] + [f"{start + timedelta(days=i)},{p:.17g}" for i, p in enumerate(prices)]
     (tmp_path / "series.csv").write_text("\n".join(lines) + "\n")
-    result = run_fresh(["diagnose", "--input", "series.csv", "--output-dir", "diag"], tmp_path)
+    result = run_fresh(
+        ["diagnose", "--input", "series.csv", "--output-dir", "diag"], tmp_path, child_env
+    )
     assert result["code"] == 0
     assert result["scipy.stats"] is True
