@@ -30,7 +30,6 @@ class MarketDay:
     day: date
     avg_cpm: float
     supply: int
-    reserve_floor: bool = False
 
     def __post_init__(self) -> None:
         if self.avg_cpm <= 0 or not math.isfinite(self.avg_cpm):
@@ -112,7 +111,6 @@ def _deliver(
     held: int = 0,
     option_price: float = 0.0,
     strike_cpc: float = 0.0,
-    clicks_per_option: int = 1,
 ) -> tuple[LedgerRow, ...]:
     """Ledger rows of ``held`` options bought out of each day's budget.
 
@@ -123,19 +121,14 @@ def _deliver(
     rows = []
     for day in days:
         remaining = budget - premium
-        exercised = clicks_opt = impressions_opt = 0
+        exercised = impressions_opt = 0
         strike_spend = 0.0
         if held and per_click_value(day.avg_cpm, ctr) > strike_cpc:
-            by_supply = int(math.floor(day.supply * ctr)) // clicks_per_option
-            by_budget = (
-                int(math.floor(remaining / (strike_cpc * clicks_per_option)))
-                if strike_cpc > 0
-                else held
-            )
+            by_supply = int(math.floor(day.supply * ctr))
+            by_budget = int(math.floor(remaining / strike_cpc)) if strike_cpc > 0 else held
             exercised = min(held, by_supply, by_budget)
-            clicks_opt = exercised * clicks_per_option
-            impressions_opt = int(math.floor(clicks_opt / ctr))
-            strike_spend = clicks_opt * strike_cpc
+            impressions_opt = int(math.floor(exercised / ctr))
+            strike_spend = exercised * strike_cpc
             remaining -= strike_spend
         impressions, clicks, spend = _rtb_fill(
             remaining, day.avg_cpm, day.supply - impressions_opt, ctr
@@ -150,7 +143,7 @@ def _deliver(
                 options_held=held,
                 options_exercised=exercised,
                 impressions=impressions_opt + impressions,
-                clicks=clicks_opt + clicks,
+                clicks=exercised + clicks,
                 spend=strike_spend + spend,
             )
         )
@@ -175,7 +168,6 @@ def simulate_options(
     ctr: float,
     option_price: float,
     strike_cpc: float,
-    clicks_per_option: int = 1,
 ) -> SimulationLedger:
     """Delivery when each day's budget first buys per-click options.
 
@@ -191,14 +183,12 @@ def simulate_options(
         raise ValueError(f"ctr must be in (0, 1], got {ctr}")
     if option_price < 0 or strike_cpc < 0:
         raise ValueError("option_price and strike_cpc must be >= 0")
-    if clicks_per_option < 1:
-        raise ValueError(f"clicks_per_option must be >= 1, got {clicks_per_option}")
 
     # a premium at or above the budget buys nothing: spot-only delivery
     degenerate = option_price >= budget_per_day
-    cost_per_option = option_price + strike_cpc * clicks_per_option
+    cost_per_option = option_price + strike_cpc
     held = 0 if degenerate or cost_per_option <= 0 else math.floor(budget_per_day / cost_per_option)
-    rows = _deliver(budget_per_day, days, ctr, held, option_price, strike_cpc, clicks_per_option)
+    rows = _deliver(budget_per_day, days, ctr, held, option_price, strike_cpc)
     return SimulationLedger(rows=rows, degenerate_rtb=degenerate)
 
 
@@ -269,10 +259,9 @@ def revenue_analysis(
 
 def is_bull(days: Sequence[MarketDay], spot_cpm: float) -> bool:
     """A test period is bull when its average price exceeds the pricing-date spot."""
-    usable = [d.avg_cpm for d in days if not d.reserve_floor]
-    if not usable:
+    if not days:
         return False
-    return float(np.mean(usable)) > spot_cpm
+    return float(np.mean([d.avg_cpm for d in days])) > spot_cpm
 
 
 # 100 years of daily prices; checked before the path is allocated

@@ -148,6 +148,23 @@ class TestPrice:
         assert peak < 64 * 1024
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "sv_flags",
+        [
+            ["--sigma0", "1e-300", "--kappa", "0", "--theta", "0"],
+            ["--sigma0", "1e150", "--kappa", "1", "--theta", "1e150"],
+        ],
+    )
+    def test_sv_grid_index_overflow_exit_one(self, capsys, sv_flags):
+        code, out, err = run(
+            capsys,
+            ["price", "--method", "sv-lattice", "--spot", "5", "--strike", "0.1",
+             "--expiry", "0.1", "--steps", "50", "--delta", "0.1", *sv_flags],
+        )
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and "grid index does not fit in int64 while building level 2" in err
+
     def test_memory_error_exit_one(self, capsys, monkeypatch):
         def exhausted(*_args):
             raise MemoryError

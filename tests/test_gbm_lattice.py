@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
-from firstlook.contracts import GbmParams, OptionContract, per_click_value
+from firstlook.contracts import GbmParams, OptionContract, StrikeBasis, per_click_value
 from firstlook.gbm_lattice import (
     DEFAULT_STRETCH,
     MAX_BINOMIAL_STEPS,
@@ -291,6 +291,43 @@ class TestTrinomialPricer:
         err_tian = abs(trinomial_price(PARAMS, c, method(MethodKind.TIAN_TRIN)) - GOLDEN_ITM)
         err_crr = abs(binomial_price_sum(PARAMS, c, method(MethodKind.CRR)) - GOLDEN_ITM)
         assert err_tian < err_crr
+
+
+class TestFrozenOutputs:
+    """Bits of the trinomial prices, frozen from numpy 2.4 on x86-64.
+
+    Each row is (boyle-trin, kr-trin, tian-trin) on PARAMS. The cases
+    cover the block of exact zeros the induction skips: present at small
+    n, absent at strike 0, the whole grid above every node, and a
+    per-mille strike.
+    """
+
+    PRICES = {
+        "n1": (dict(steps_n=1, strike=0.007),
+               ("0x1.42b5991f38038p-12", "0x1.3f436fdd7f5dbp-12", "0x1.55cf0a82949bbp-13")),
+        "n2": (dict(steps_n=2, strike=0.007),
+               ("0x1.28a4ee475d926p-12", "0x1.2784339171ce7p-12", "0x1.b87af2d552de6p-13")),
+        "n3": (dict(steps_n=3, strike=0.007),
+               ("0x1.23a17b30e9091p-12", "0x1.22db8ac4606adp-12", "0x1.e0b170ed0fe89p-13")),
+        "n1000": (dict(steps_n=1000, strike=0.007),
+                  ("0x1.134e0beefcfc8p-12", "0x1.134d7b755c45bp-12", "0x1.13472dff19e9fp-12")),
+        "zero-strike": (dict(steps_n=50, strike=0.0),
+                        ("0x1.b4e81b4e81b50p-8", "0x1.b4e812ea8e33cp-8", "0x1.b4e81b4e81bf2p-8")),
+        "above-every-node": (dict(steps_n=50, strike=1.0), ("0x0.0p+0",) * 3),
+        "deep-itm": (dict(steps_n=50, strike=0.0005),
+                     ("0x1.94470bc620b4ap-8", "0x1.944703622d337p-8", "0x1.94470bc620bf4p-8")),
+        "out-of-the-money": (dict(steps_n=200, strike=0.009),
+                             ("0x1.252a0634de5c9p-17", "0x1.251c95d701b08p-17", "0x1.26d767a846f71p-17")),
+        "per-mille": (dict(steps_n=50, strike=2.1, strike_basis=StrikeBasis.PER_MILLE),
+                      ("0x1.4267cc636e72ep-4", "0x1.425a814a22456p-4", "0x1.40fda48c7d058p-4")),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PRICES))
+    def test_price_bits(self, case):
+        overrides, expected = self.PRICES[case]
+        c = OptionContract(**{**ITM, **overrides})
+        kinds = (MethodKind.BOYLE_TRIN, MethodKind.KR_TRIN, MethodKind.TIAN_TRIN)
+        assert tuple(trinomial_price(PARAMS, c, method(k)).hex() for k in kinds) == expected
 
 
 class TestClosedForm:

@@ -127,13 +127,6 @@ class TestSimulateOptions:
             if row.options_exercised:
                 assert 0.02 <= per_click_value(row.avg_cpm, CTR)
 
-    def test_clicks_per_option_scaling(self):
-        single = simulate_options(5.0, flat_market(1.0, 1, supply=10**6), CTR, 0.004, 0.02, 1)
-        lot = simulate_options(5.0, flat_market(1.0, 1, supply=10**6), CTR, 0.004, 0.02, 5)
-        assert lot.rows[0].options_held == math.floor(5.0 / (0.004 + 5 * 0.02))
-        # the premium amortizes over more covered clicks per option
-        assert lot.total_clicks >= single.total_clicks
-
 
 class TestRevenueAnalysis:
     def test_zero_sell_ratio_is_pure_rtb_income(self):
@@ -222,13 +215,6 @@ class TestSyntheticMarket:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="price path is zero from day 1 of 3000"):
                 synthetic_market(sv, 1e5, 3000, 8000, 3)
-
-    def test_reserve_floor_days_excluded_from_classification(self):
-        days = [
-            MarketDay(day=date(2013, 2, 8), avg_cpm=0.01, supply=100, reserve_floor=True),
-            MarketDay(day=date(2013, 2, 9), avg_cpm=2.0, supply=100),
-        ]
-        assert is_bull(days, 1.0)
 
 
 class TestCsvEmission:

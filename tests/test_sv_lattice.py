@@ -1,6 +1,7 @@
 import hashlib
 import io
 import math
+import re
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -178,10 +179,28 @@ class TestBuild:
             )
             assert level_mass_deviation(walk_levels(sv, c)) < 1e-12
 
-    def test_nonfinite_build_reports_location(self):
-        sv = SvParams(spot_M0=1.0, sigma0=1e200, kappa=0.0, theta=0.0, delta=0.0)
+    @pytest.mark.parametrize(
+        "sv",
+        [
+            SvParams(spot_M0=1.0, sigma0=1e200, kappa=0.0, theta=0.0, delta=0.0),
+            SvParams(spot_M0=5.0, sigma0=1e200, kappa=1.0, theta=1e200, delta=0.1),
+        ],
+    )
+    def test_nonfinite_build_reports_location(self, sv):
         c = OptionContract(strike=0.03, expiry_T=1.0, rate_r=0.05, steps_n=2, ctr=0.03)
-        with pytest.raises(ValueError, match="level"):
+        with pytest.raises(ValueError, match="^non-finite x while building level 1, node 0$"):
+            build_censored_lattice(sv, c)
+
+    @pytest.mark.parametrize(
+        "sigma0,kappa,theta,level",
+        [(1e-300, 0.0, 0.0, 2), (1e150, 1.0, 1e150, 2), (5e-324, 0.0, 0.0, 1)],
+    )
+    def test_grid_index_beyond_int64_names_level_and_volatility(self, sigma0, kappa, theta, level):
+        sv = SvParams(spot_M0=5.0, sigma0=sigma0, kappa=kappa, theta=theta, delta=0.1)
+        c = OptionContract(strike=0.1, expiry_T=0.1, rate_r=0.05, steps_n=50, ctr=0.03)
+        sigma = vol_mean_path(sv, level * c.dt)
+        message = f"grid index does not fit in int64 while building level {level}, volatility {sigma!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build_censored_lattice(sv, c)
 
 
