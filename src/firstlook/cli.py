@@ -194,7 +194,7 @@ def cmd_price(args: argparse.Namespace) -> int:
             result = montecarlo.mc_price(sv, contract, cfg)
             report.update(
                 price=result.price, std_error=result.std_error, ci_low=result.ci_low,
-                ci_high=result.ci_high, paths=result.n_paths, seed=args.seed,
+                ci_high=result.ci_high, paths=cfg.n_paths, seed=args.seed,
             )
 
     json_dump(report, args.output)
@@ -243,8 +243,11 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
         "ljung_p": verdict.ljung_p,
         "is_gbm": verdict.is_gbm,
     }
-    gbm = diagnostics.estimate_gbm(series) if len(series) >= 10 else None
-    payload["gbm_estimate"] = None if gbm is None else {"sigma": gbm.sigma, "mu": gbm.mu}
+    try:
+        gbm = diagnostics.estimate_gbm(series)
+        payload["gbm_estimate"] = {"sigma": gbm.sigma, "mu": gbm.mu}
+    except ValueError:
+        payload["gbm_estimate"] = None
     try:
         sv = diagnostics.estimate_sv(series, window=args.window)
         payload["sv_estimate"] = {
@@ -266,7 +269,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     }
     for name, (header, rows) in tables.items():
         with open(out / name, "w", newline="") as fh:
-            write_table(fh, header, rows, lineterminator="\n")
+            write_table(fh, header, rows)
     json_dump(payload, out / "verdict.json")
     return EXIT_OK
 
@@ -426,6 +429,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
+    except OverflowError as exc:
+        print(f"error: the inputs overflowed ({exc})", file=sys.stderr)
         return EXIT_FAILURE
     except MemoryError:
         print("error: out of memory; use fewer steps or paths", file=sys.stderr)

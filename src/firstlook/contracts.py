@@ -21,7 +21,7 @@ class StrikeBasis(Enum):
     PER_MILLE = "per-mille"
 
 
-def _require_finite(name: str, value: float) -> None:
+def require_finite(name: str, value: float) -> None:
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
 
@@ -42,10 +42,10 @@ class OptionContract:
     strike_basis: StrikeBasis = StrikeBasis.PER_CLICK
 
     def __post_init__(self) -> None:
-        _require_finite("strike", self.strike)
-        _require_finite("expiry_T", self.expiry_T)
-        _require_finite("rate_r", self.rate_r)
-        _require_finite("ctr", self.ctr)
+        require_finite("strike", self.strike)
+        require_finite("expiry_T", self.expiry_T)
+        require_finite("rate_r", self.rate_r)
+        require_finite("ctr", self.ctr)
         if self.strike < 0:
             raise ValueError(f"strike must be >= 0, got {self.strike}")
         if not 0 < self.ctr <= 1:
@@ -83,9 +83,9 @@ class GbmParams:
     mu: float = 0.0
 
     def __post_init__(self) -> None:
-        _require_finite("spot_M0", self.spot_M0)
-        _require_finite("sigma", self.sigma)
-        _require_finite("mu", self.mu)
+        require_finite("spot_M0", self.spot_M0)
+        require_finite("sigma", self.sigma)
+        require_finite("mu", self.mu)
         if self.spot_M0 <= 0:
             raise ValueError(f"spot_M0 must be > 0, got {self.spot_M0}")
         if self.sigma < 0:
@@ -108,7 +108,7 @@ class SvParams:
 
     def __post_init__(self) -> None:
         for name in ("spot_M0", "sigma0", "kappa", "theta", "delta"):
-            _require_finite(name, getattr(self, name))
+            require_finite(name, getattr(self, name))
         if self.spot_M0 <= 0:
             raise ValueError(f"spot_M0 must be > 0, got {self.spot_M0}")
         if self.sigma0 <= 0:

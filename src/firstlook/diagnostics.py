@@ -22,6 +22,8 @@ from .contracts import GbmParams, SvParams
 from .montecarlo import Scheme
 
 DAYS_PER_YEAR = 365.0
+# moving-average width of the smoothed path distance in ``l2_fitness``
+SMOOTH_WINDOW = 5
 
 
 @dataclass(frozen=True)
@@ -60,10 +62,9 @@ class PriceSeries:
         return len(self.prices)
 
     @classmethod
-    def from_prices(
-        cls, prices: Sequence[float], start: date = date(2013, 1, 8), step_days: int = 1
-    ) -> "PriceSeries":
-        dates = tuple(start + timedelta(days=i * step_days) for i in range(len(prices)))
+    def from_prices(cls, prices: Sequence[float]) -> "PriceSeries":
+        """Daily prices dated from 2013-01-08."""
+        dates = tuple(date(2013, 1, 8) + timedelta(days=i) for i in range(len(prices)))
         return cls(dates=dates, prices=tuple(float(p) for p in prices))
 
     @classmethod
@@ -149,10 +150,6 @@ def ljung_box(sample: Sequence[float], lags: int) -> tuple[float, float]:
     return q, p
 
 
-def default_lb_lags(n: int) -> int:
-    return min(10, n // 5)
-
-
 @dataclass(frozen=True)
 class GbmVerdict:
     """Joint outcome of the normality and independence tests."""
@@ -162,7 +159,6 @@ class GbmVerdict:
     ljung_q: float
     ljung_p: float
     acf: AcfResult
-    alpha: float
     is_gbm: bool
 
 
@@ -173,7 +169,7 @@ def gbm_test(series: PriceSeries, alpha: float = 0.05, lags: int | None = None) 
     ratios = log_ratios(series)
     n = ratios.size
     if lags is None:
-        lags = default_lb_lags(n)
+        lags = min(10, n // 5)
     if lags < 1:
         raise ValueError(f"series too short for the independence test (n = {n})")
     w, p_w = shapiro_wilk(ratios)
@@ -185,7 +181,6 @@ def gbm_test(series: PriceSeries, alpha: float = 0.05, lags: int | None = None) 
         ljung_q=q,
         ljung_p=p_q,
         acf=acf_res,
-        alpha=alpha,
         is_gbm=bool(p_w >= alpha and p_q >= alpha),
     )
 
@@ -275,16 +270,14 @@ def _smooth(x: np.ndarray, window: int) -> np.ndarray:
     return np.convolve(x, kernel, mode="valid")
 
 
-def l2_fitness(
-    actual: np.ndarray, simulated: np.ndarray, smooth_window: int = 5
-) -> tuple[float, float]:
+def l2_fitness(actual: np.ndarray, simulated: np.ndarray) -> tuple[float, float]:
     """Euclidean distance between two equal-length paths, raw and smoothed."""
     if actual.size != simulated.size:
         raise ValueError(f"length mismatch: {actual.size} vs {simulated.size}")
-    if smooth_window > actual.size:
-        raise ValueError("smooth_window larger than the series")
+    if SMOOTH_WINDOW > actual.size:
+        raise ValueError("SMOOTH_WINDOW larger than the series")
     raw = float(np.linalg.norm(actual - simulated))
-    smoothed = _smooth(actual, smooth_window) - _smooth(simulated, smooth_window)
+    smoothed = _smooth(actual, SMOOTH_WINDOW) - _smooth(simulated, SMOOTH_WINDOW)
     return raw, float(np.linalg.norm(smoothed))
 
 
@@ -297,21 +290,9 @@ class FitnessComparison:
     sv_raw: float
     sv_smoothed: float
 
-    @property
-    def sv_wins_raw(self) -> bool:
-        return self.sv_raw < self.gbm_raw
-
-    @property
-    def sv_wins_smoothed(self) -> bool:
-        return self.sv_smoothed < self.gbm_smoothed
-
 
 def fitness_comparison(
-    actual: PriceSeries,
-    n_instances: int = 15,
-    seed: int = 42,
-    window: int = 7,
-    smooth_window: int = 5,
+    actual: PriceSeries, n_instances: int = 15, seed: int = 42
 ) -> FitnessComparison:
     """Fit both models to ``actual`` and compare simulated-path distances.
 
@@ -322,7 +303,7 @@ def fitness_comparison(
     if n_instances < 1:
         raise ValueError(f"n_instances must be >= 1, got {n_instances}")
     gbm = estimate_gbm(actual)
-    sv = estimate_sv(actual, window)
+    sv = estimate_sv(actual)
     steps = len(actual) - 1
     dt = actual.dt
     spot = actual.prices[0]
@@ -339,7 +320,7 @@ def fitness_comparison(
     target = actual.values
 
     def median_l2(paths: np.ndarray) -> tuple[float, float]:
-        raws, smooths = zip(*(l2_fitness(target, row, smooth_window) for row in paths))
+        raws, smooths = zip(*(l2_fitness(target, row) for row in paths))
         return float(np.median(raws)), float(np.median(smooths))
 
     gbm_raw, gbm_smoothed = median_l2(gbm_paths)

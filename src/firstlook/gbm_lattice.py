@@ -54,11 +54,6 @@ class LatticeMethod:
         return self.kind in (MethodKind.CRR, MethodKind.TIAN_BIN, MethodKind.HAAHTELA_BIN)
 
 
-def all_methods(stretch_lambda: float = DEFAULT_STRETCH) -> list[LatticeMethod]:
-    """One LatticeMethod per supported parameterization."""
-    return [LatticeMethod(kind, stretch_lambda) for kind in MethodKind]
-
-
 @dataclass(frozen=True)
 class MoveSpec:
     """Per-step movement scales and risk-neutral transition probabilities.
@@ -117,22 +112,16 @@ def movement_params(
     if kind is MethodKind.CRR:
         u = math.exp(sigma * math.sqrt(dt))
         d = 1.0 / u
-        q1 = (g - d) / (u - d)
-        _check_probs(kind, q1=q1)
-        return MoveSpec(u=u, d=d, q1=q1, q2=1.0 - q1)
-
-    if kind is MethodKind.TIAN_BIN:
+    elif kind is MethodKind.TIAN_BIN:
         root = math.sqrt(z * z + 2.0 * z - 3.0)
         u = 0.5 * g * z * (z + 1.0 + root)
         d = 0.5 * g * z * (z + 1.0 - root)
-        q1 = (g - d) / (u - d)
-        _check_probs(kind, q1=q1)
-        return MoveSpec(u=u, d=d, q1=q1, q2=1.0 - q1)
-
-    if kind is MethodKind.HAAHTELA_BIN:
+    elif kind is MethodKind.HAAHTELA_BIN:
         half_width = math.sqrt(z - 1.0)
         u = math.exp(half_width + rate_r * dt)
         d = math.exp(-half_width + rate_r * dt)
+
+    if method.is_binomial:
         q1 = (g - d) / (u - d)
         _check_probs(kind, q1=q1)
         return MoveSpec(u=u, d=d, q1=q1, q2=1.0 - q1)
@@ -291,7 +280,7 @@ def trinomial_price(
     j = np.arange(-n, n + 1)
     log_terminal = math.log(spot) + n * math.log(move.m) + j * math.log(move.u / move.m)
     values = np.maximum(np.exp(log_terminal) - contract.strike, 0.0)
-    disc = math.exp(-contract.rate_r * contract.dt)
+    disc = discount(1.0, contract.rate_r, contract.dt)
     q1, q2, q3 = move.q1, move.q2, move.q3
     # A node whose three successors are +0.0 is +0.0 (disc is finite: math.exp
     # raises rather than overflow), so the block of exact zeros at the bottom of

@@ -18,7 +18,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from . import montecarlo
-from .contracts import SvParams, per_click_value
+from .contracts import SvParams, per_click_value, require_finite
 from .montecarlo import Scheme
 from .output import write_table
 
@@ -62,21 +62,9 @@ class SimulationLedger:
     degenerate_rtb: bool = False
 
     @property
-    def total_budget(self) -> float:
-        return sum(r.budget for r in self.rows)
-
-    @property
-    def total_premium(self) -> float:
-        return sum(r.premium_paid for r in self.rows)
-
-    @property
     def total_spend(self) -> float:
         """Premium plus delivery-day spend."""
         return sum(r.premium_paid + r.spend for r in self.rows)
-
-    @property
-    def total_impressions(self) -> int:
-        return sum(r.impressions for r in self.rows)
 
     @property
     def total_clicks(self) -> int:
@@ -86,12 +74,6 @@ class SimulationLedger:
     def cost_per_click(self) -> float:
         clicks = self.total_clicks
         return self.total_spend / clicks if clicks else math.inf
-
-
-def _check_finite(**values: float) -> None:
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
 
 
 def _rtb_fill(budget: float, cpm: float, supply: int, ctr: float) -> tuple[int, int, float]:
@@ -154,7 +136,7 @@ def simulate_rtb(
     budget_per_day: float, days: Sequence[MarketDay], ctr: float
 ) -> SimulationLedger:
     """Spot-market-only delivery with a fixed daily budget."""
-    _check_finite(budget_per_day=budget_per_day)
+    require_finite("budget_per_day", budget_per_day)
     if budget_per_day < 0:
         raise ValueError(f"budget_per_day must be >= 0, got {budget_per_day}")
     if not 0 < ctr <= 1:
@@ -176,7 +158,9 @@ def simulate_options(
     them whenever the spot per-click value strictly exceeds the strike;
     leftover budget goes to the spot market either way.
     """
-    _check_finite(budget_per_day=budget_per_day, option_price=option_price, strike_cpc=strike_cpc)
+    require_finite("budget_per_day", budget_per_day)
+    require_finite("option_price", option_price)
+    require_finite("strike_cpc", strike_cpc)
     if budget_per_day <= 0:
         raise ValueError(f"budget_per_day must be > 0, got {budget_per_day}")
     if not 0 < ctr <= 1:
@@ -226,7 +210,8 @@ def revenue_analysis(
     options earn the strike while the rest of the supply clears at the
     spot CPM. Premium income is attributed to the day it covers.
     """
-    _check_finite(option_price=option_price, strike_cpc=strike_cpc)
+    require_finite("option_price", option_price)
+    require_finite("strike_cpc", strike_cpc)
     if not 0 <= sell_ratio <= 1:
         raise ValueError(f"sell_ratio must be in [0, 1], got {sell_ratio}")
     if not 0 < ctr <= 1:
@@ -274,8 +259,6 @@ def synthetic_market(
     n_days: int,
     base_supply: int,
     seed: int,
-    start: date = date(2013, 2, 8),
-    scheme: Scheme = Scheme.EULER,
 ) -> list[MarketDay]:
     """Seeded synthetic daily market from the SV path sampler.
 
@@ -292,7 +275,7 @@ def synthetic_market(
         raise ValueError(f"base_supply must be >= 1, got {base_supply}")
     with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 after an overflow
         path = montecarlo.sample_paths(
-            sv, mu, 1.0 / 365.0, n_days, 1, scheme, seed
+            sv, mu, 1.0 / 365.0, n_days, 1, Scheme.EULER, seed
         )[0]
     bad = np.flatnonzero(~(np.isfinite(path) & (path > 0)))
     if bad.size:
@@ -306,7 +289,7 @@ def synthetic_market(
     for i in range(n_days):
         days.append(
             MarketDay(
-                day=start + timedelta(days=i),
+                day=date(2013, 2, 8) + timedelta(days=i),
                 avg_cpm=float(path[i + 1]),
                 supply=int(base_supply + jitter[i]),
             )

@@ -55,8 +55,6 @@ class McResult:
     std_error: float
     ci_low: float
     ci_high: float
-    n_paths: int
-    scheme: Scheme
 
 
 def advance(
@@ -152,8 +150,6 @@ def mc_price(sv: SvParams, contract: OptionContract, cfg: McConfig) -> McResult:
         std_error=std_error,
         ci_low=price - half,
         ci_high=price + half,
-        n_paths=cfg.n_paths,
-        scheme=cfg.scheme,
     )
 
 

@@ -19,11 +19,9 @@ def _cell(value) -> str:
     return "" if value is None else str(value)
 
 
-def write_table(
-    stream: IO[str], header: Sequence[str], rows: Iterable[Sequence], lineterminator: str = "\r\n"
-) -> None:
-    """CSV of ``header`` and ``rows``: floats at 12 digits, None as an empty cell."""
-    writer = csv.writer(stream, lineterminator=lineterminator)
+def write_table(stream: IO[str], header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """CRLF-ended CSV of ``header`` and ``rows``: floats at 12 digits, None as an empty cell."""
+    writer = csv.writer(stream)
     writer.writerow(header)
     writer.writerows([_cell(v) for v in row] for row in rows)
 

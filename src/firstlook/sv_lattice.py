@@ -143,10 +143,6 @@ class SvLattice:
     x: np.ndarray
     q: np.ndarray
 
-    @property
-    def n_steps(self) -> int:
-        return self.contract.steps_n
-
 
 def build_censored_lattice(params: SvParams, contract: OptionContract) -> SvLattice:
     """Walk the lattice to its terminal level; raises as ``walk_levels``."""
@@ -178,14 +174,14 @@ def _backward_values(lattice: SvLattice, levels: list[tuple]) -> list[np.ndarray
     The root value re-derives the terminal-sum price up to accumulation
     roundoff.
     """
-    n = lattice.n_steps
+    n = lattice.contract.steps_n
     values = [np.empty(0)] * (n + 1)
     values[n] = _terminal_payoff(lattice)
-    step_disc = math.exp(-lattice.contract.rate_r * lattice.contract.dt)
+    step_disc = discount(1.0, lattice.contract.rate_r, lattice.contract.dt)
     for k in range(n - 1, -1, -1):
         _, q, _, _, q_up, _ = levels[k]
         # conditional up-probability; zero-mass nodes split evenly
-        cond_up = np.where(q > 0, np.divide(q_up, q, out=np.full_like(q, 0.5), where=q > 0), 0.5)
+        cond_up = np.divide(q_up, q, out=np.full_like(q, 0.5), where=q > 0)
         nxt = values[k + 1]
         values[k] = step_disc * (cond_up * nxt[:-1] + (1.0 - cond_up) * nxt[1:])
     return values

@@ -175,6 +175,21 @@ class TestPrice:
         assert out == ""
         assert err.count("\n") == 1 and "out of memory" in err
 
+    @pytest.mark.parametrize(
+        "method,rate",
+        # overflows in trinomial_price's step discount, movement_params' growth and discount
+        [("boyle-trin", "-800"), ("crr", "800"), ("closed", "-800")],
+    )
+    def test_overflow_exit_one(self, capsys, method, rate):
+        code, out, err = run(
+            capsys,
+            ["price", "--method", method, "--spot", "5", "--strike", "0.1", "--expiry", "1",
+             "--rate", rate, "--steps", "1", "--sigma", "1", "--stretch", "100"],
+        )
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and "inputs overflowed" in err
+
 
 class TestConverge:
     def test_full_method_grid(self, capsys, tmp_path):
@@ -443,6 +458,8 @@ class TestFrozenOutputs:
 
     Captured from numpy 2.4 on x86-64 before the CSV and JSON writers were
     folded into ``firstlook.output``; a refactor must leave every byte as is.
+    The two ``diagnose`` digests were re-pinned when its tables moved from LF
+    to CRLF line endings; with CRLF turned back into LF they are the old ones.
     """
 
     MARKET_FLAGS = ["--input", "{in}/series.csv", "--output-dir", "{out}/diag"]
@@ -507,12 +524,12 @@ class TestFrozenOutputs:
     }
     DIGESTS = {
         "c11-converge": "70117bca8e82f492e855528be64e48d8e0c6835f396e3260768626dbaf1b4126",
-        "c11-diagnose": "651a4317dddf479dd5e653b088f2ecdd9bcc1931ce80df30e0f42dd670070f6b",
+        "c11-diagnose": "aa6cd8f91acb5b1d388c076f69fafb92629d7af3b941717759d7195bef1c1cda",
         "c11-price": "ed475a1aaa68fecb0e7247ba5a11ccc408949e2b54147a7ac92f6f92b2bf48a3",
         "c11-simulate": "1fe0626f40e6f61fd1b7492a100c77501991314d2da16d13816fc09f12f0d7e6",
         "c11-validate": "000c4783e7cde1134e2d8965c538a9609dd84d0783d884e02e08016b36d59ea7",
         "converge-failing-rows": "6cf6a26d3c4dc1f3e76a1f833ae1a1f0da457da4ce4ea5ca4bf8d1926b0f4c3a",
-        "diagnose-options": "67d57db2ee4dc7db93b74e25d6c885649b3e0e19283f1ed50613086df2f967da",
+        "diagnose-options": "b205199bb05aee19f82f71d41c4d56bf7ad65aa3bafd3e2a609a42ce57b06998",
         "price-boyle-trin": "c21a90311043592c11b354cbc873f9cb7df8b0d8748e0e3eb4cbf1b3ad481e56",
         "price-closed": "3a7421fdf1cac7612559b87be8aa0dab409487ceb774fc0aa32d47881d078f33",
         "price-crr": "26daecc366fa98e0a7a393038961e98e76c7620395e0fb311592ebe851ad91c0",

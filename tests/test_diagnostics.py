@@ -364,7 +364,7 @@ class TestL2Fitness:
     def test_constant_offset(self):
         a = np.full(16, 1.0)
         b = np.full(16, 1.5)
-        raw, smoothed = l2_fitness(a, b, smooth_window=5)
+        raw, smoothed = l2_fitness(a, b)
         assert raw == pytest.approx(0.5 * 4.0)
         assert smoothed == pytest.approx(0.5 * math.sqrt(12))
 

@@ -15,7 +15,6 @@ from firstlook.gbm_lattice import (
     MAX_TRINOMIAL_STEPS,
     LatticeMethod,
     MethodKind,
-    all_methods,
     binomial_price_sum,
     closed_form_price,
     complementary_binomial_price,
@@ -382,7 +381,9 @@ class TestConvergenceReport:
         assert rows[0].abs_error == pytest.approx(abs(expected - GOLDEN_ITM), rel=1e-10)
 
     def test_full_grid_row_count_and_csv(self):
-        rows = convergence_report(PARAMS, contract(), all_methods(), [10, 100])
+        rows = convergence_report(
+            PARAMS, contract(), [LatticeMethod(k) for k in MethodKind], [10, 100]
+        )
         assert len(rows) == 12
         buf = io.StringIO()
         report_to_csv(rows, buf)

@@ -176,8 +176,7 @@ class TestPathSampling:
 class TestValidation:
     def result(self, price):
         return McResult(
-            price=price, std_error=0.01, ci_low=price - 0.0196, ci_high=price + 0.0196,
-            n_paths=100, scheme=Scheme.EULER,
+            price=price, std_error=0.01, ci_low=price - 0.0196, ci_high=price + 0.0196
         )
 
     def test_exact_price_contained(self):

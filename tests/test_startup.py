@@ -1,4 +1,4 @@
-"""Start-up guard: only the GBM diagnostics import scipy.stats.
+"""Fresh-interpreter checks: what the CLI imports, and the README example.
 
 ``scipy.stats`` takes most of a second to import, and every CLI command
 runs in a fresh process. Each case runs ``firstlook.cli.main`` in a new
@@ -6,9 +6,11 @@ interpreter on a tiny input and reports whether the module was loaded.
 """
 
 import json
+import re
 import subprocess
 import sys
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,3 +73,17 @@ def test_diagnose_imports_scipy_stats(tmp_path, child_env):
     )
     assert result["code"] == 0
     assert result["scipy.stats"] is True
+
+
+def test_readme_library_example(tmp_path, child_env):
+    # pins the package re-exports the README uses, and the prices it prints
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (code,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, cwd=tmp_path,
+        env=child_env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    printed = [float(line) for line in proc.stdout.split()]
+    expected = [0.0016949026752235636, 0.001694892109156537, 0.0025659663131701077]
+    assert printed == pytest.approx(expected, rel=1e-12, abs=0)
