@@ -285,6 +285,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         steps=args.mc_steps,
         seed=args.seed,
     )
+    montecarlo.check_sweep(cfg, args.points)
     values = np.linspace(args.lo, args.hi, args.points)
     rows = montecarlo.containment_sweep(sv, contract, cfg, args.param, list(values))
     with open(args.output, "w", newline="") as fh:

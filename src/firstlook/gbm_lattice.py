@@ -362,7 +362,7 @@ def convergence_report(
             c = replace(contract, steps_n=int(n))
             try:
                 price = lattice_price(params, c, method)
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:
                 rows.append(
                     ConvergenceRow(method.kind.value, int(n), math.nan, math.nan, str(exc))
                 )

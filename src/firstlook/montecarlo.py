@@ -19,10 +19,19 @@ from .contracts import OptionContract, SvParams, discount, payoff
 from .output import write_table
 from .sv_lattice import build_censored_lattice, price_sv_option
 
-# cost bounds checked before any path array exists: a path array is 80 MB
-# at the path cap, and the path-step cap is about a minute of Euler steps
+# cost bounds checked before any path array exists. A run at the path cap
+# holds four 80 MB arrays: the price and volatility state and one step's
+# two normals. A sweep walks its points in groups of at most MAX_MC_PATHS
+# paths in all, so it never holds more. The path-step cap is about a
+# minute of Euler steps; a sweep may cost ten of those, over at most
+# MAX_SWEEP_POINTS points.
 MAX_MC_PATHS = 10**7
 MAX_PATH_STEPS = 10**9
+MAX_SWEEP_PATH_STEPS = 10 * MAX_PATH_STEPS
+MAX_SWEEP_POINTS = 10**4
+# paths per block of the step kernel: a block's normals, state and scratch
+# (about 1.75 MB) stay in a 2 MB L2 cache while every point steps through it
+PATH_BLOCK = 2**15
 
 
 class Scheme(Enum):
@@ -66,17 +75,46 @@ def advance(
     eps_price: np.ndarray,
     eps_vol: np.ndarray,
     scheme: Scheme,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One step of (price, volatility) for every path; scalars work too.
+    scratch: np.ndarray,
+) -> None:
+    """One step of (price, volatility) for every path, in place.
 
-    Milstein adds the second-order volatility correction to the Euler
-    step; the volatility is floored at zero afterwards.
+    The ufuncs run in the order of
+    m * exp((drift - 0.5 * sigma * sigma) * dt + sigma * sqrt(dt) * eps_price) and
+    sigma + kappa * (theta - sigma) * dt + delta * sqrt(sigma * dt) * eps_vol,
+    so a path's numbers do not depend on the array it sits in. Milstein
+    adds the second-order volatility correction to the Euler step; the
+    volatility is floored at zero afterwards. ``scratch`` holds three
+    arrays shaped like ``m``, so that no ufunc but the last price update
+    writes over its own input: numpy's overlap check on such a call costs
+    more than the arithmetic of a few paths.
     """
-    m_next = m * np.exp((drift - 0.5 * sigma * sigma) * dt + sigma * math.sqrt(dt) * eps_price)
-    sigma_next = sigma + sv.kappa * (sv.theta - sigma) * dt + sv.delta * np.sqrt(sigma * dt) * eps_vol
+    a, b, c = scratch
+    np.multiply(0.5, sigma, out=a)
+    np.multiply(a, sigma, out=b)
+    np.subtract(drift, b, out=a)
+    np.multiply(a, dt, out=b)
+    np.multiply(sigma, math.sqrt(dt), out=a)
+    np.multiply(a, eps_price, out=c)
+    np.add(b, c, out=a)
+    np.exp(a, out=b)
+    np.multiply(m, b, out=m)
+    np.subtract(sv.theta, sigma, out=a)
+    np.multiply(sv.kappa, a, out=b)
+    np.multiply(b, dt, out=a)
+    np.add(sigma, a, out=b)
+    np.multiply(sigma, dt, out=a)
+    np.sqrt(a, out=c)
+    np.multiply(sv.delta, c, out=a)
+    np.multiply(a, eps_vol, out=c)
+    np.add(b, c, out=a)
     if scheme is Scheme.MILSTEIN:
-        sigma_next = sigma_next + 0.25 * sv.delta * sv.delta * dt * (eps_vol * eps_vol - 1.0)
-    return m_next, np.maximum(sigma_next, 0.0)
+        np.multiply(eps_vol, eps_vol, out=b)
+        np.subtract(b, 1.0, out=c)
+        np.multiply(0.25 * sv.delta * sv.delta * dt, c, out=b)
+        np.add(a, b, out=c)
+        a = c
+    np.maximum(a, 0.0, out=sigma)
 
 
 def _generator(seed: int) -> np.random.Generator:
@@ -85,7 +123,7 @@ def _generator(seed: int) -> np.random.Generator:
 
 
 def _walk_paths(
-    sv: SvParams,
+    points: Sequence[SvParams],
     drift: float,
     dt: float,
     steps: int,
@@ -93,29 +131,38 @@ def _walk_paths(
     scheme: Scheme,
     seed: int,
 ) -> Iterator[np.ndarray]:
-    """Yield the prices of ``n_paths`` paths at the spot and after each step."""
+    """Yield the (points, n_paths) prices at the spot and after each step.
+
+    The yielded array is the walk's state, updated in place by the next
+    step. Every point walks the same normals: per step ``eps_price`` then
+    ``eps_vol`` from one Philox stream, drawn a block of steps at a time
+    while a step has fewer than ``PATH_BLOCK`` paths.
+    """
     rng = _generator(seed)
-    m = np.full(n_paths, sv.spot_M0)
-    sigma = np.full(n_paths, sv.sigma0)
+    m = np.empty((len(points), n_paths))
+    sigma = np.empty_like(m)
+    for p, sv in enumerate(points):
+        m[p] = sv.spot_M0
+        sigma[p] = sv.sigma0
+    per_draw = max(1, min(steps, PATH_BLOCK // n_paths))
+    eps = np.empty((per_draw, 2, n_paths))
+    scratch = np.empty((3, min(n_paths, PATH_BLOCK)))
+    blocks = []
+    for j in range(0, n_paths, PATH_BLOCK):
+        block = slice(j, j + PATH_BLOCK)
+        states = [(m[p, block], sigma[p, block], sv) for p, sv in enumerate(points)]
+        blocks.append((block, scratch[:, : min(PATH_BLOCK, n_paths - j)], states))
     yield m
-    for _ in range(steps):
-        eps_price = rng.standard_normal(n_paths)
-        eps_vol = rng.standard_normal(n_paths)
-        m, sigma = advance(m, sigma, dt, drift, sv, eps_price, eps_vol, scheme)
-        yield m
-
-
-def simulate_terminal(
-    sv: SvParams,
-    drift: float,
-    dt: float,
-    steps: int,
-    n_paths: int,
-    scheme: Scheme,
-    seed: int,
-) -> np.ndarray:
-    """Terminal prices of ``n_paths`` independent paths."""
-    return deque(_walk_paths(sv, drift, dt, steps, n_paths, scheme, seed), maxlen=1).pop()
+    for done in range(0, steps, per_draw):
+        drawn = eps[: min(per_draw, steps - done)]
+        rng.standard_normal(out=drawn)
+        for eps_price, eps_vol in drawn:
+            for block, block_scratch, states in blocks:
+                block_price, block_vol = eps_price[block], eps_vol[block]
+                for m_block, sigma_block, sv in states:
+                    advance(m_block, sigma_block, dt, drift, sv, block_price, block_vol,
+                            scheme, block_scratch)
+            yield m
 
 
 def sample_paths(
@@ -129,28 +176,38 @@ def sample_paths(
 ) -> np.ndarray:
     """Full price paths, shape (n_paths, steps + 1), column 0 at the spot."""
     out = np.empty((n_paths, steps + 1))
-    for i, m in enumerate(_walk_paths(sv, drift, dt, steps, n_paths, scheme, seed)):
-        out[:, i] = m
+    for i, m in enumerate(_walk_paths((sv,), drift, dt, steps, n_paths, scheme, seed)):
+        out[:, i] = m[0]
     return out
 
 
-def mc_price(sv: SvParams, contract: OptionContract, cfg: McConfig) -> McResult:
-    """Average of discounted terminal payoffs with its 95% interval."""
+def mc_price(
+    sv: SvParams | Sequence[SvParams], contract: OptionContract, cfg: McConfig
+) -> McResult | list[McResult]:
+    """Average of discounted terminal payoffs with its 95% interval.
+
+    Given a sequence of SV points, every point walks the same normals in
+    one state of ``len(sv) * n_paths`` paths, at most ``MAX_MC_PATHS``,
+    and the list of results holds each point's single-point result.
+    """
+    points = (sv,) if isinstance(sv, SvParams) else tuple(sv)
+    if len(points) * cfg.n_paths > MAX_MC_PATHS:
+        raise ValueError(
+            f"{len(points)} points x {cfg.n_paths} paths exceeds supported maximum {MAX_MC_PATHS}"
+        )
     dt = contract.expiry_T / cfg.steps
-    terminal = simulate_terminal(
-        sv, contract.rate_r, dt, cfg.steps, cfg.n_paths, cfg.scheme, cfg.seed
-    )
-    payoffs = payoff(terminal, contract)
-    price = discount(float(np.mean(payoffs)), contract.rate_r, contract.expiry_T)
-    spread = discount(float(np.std(payoffs, ddof=1)), contract.rate_r, contract.expiry_T)
-    std_error = spread / math.sqrt(cfg.n_paths)
-    half = 1.96 * std_error
-    return McResult(
-        price=price,
-        std_error=std_error,
-        ci_low=price - half,
-        ci_high=price + half,
-    )
+    walk = _walk_paths(points, contract.rate_r, dt, cfg.steps, cfg.n_paths, cfg.scheme, cfg.seed)
+    results = []
+    for terminal in deque(walk, maxlen=1).pop():
+        payoffs = payoff(terminal, contract)
+        price = discount(float(np.mean(payoffs)), contract.rate_r, contract.expiry_T)
+        spread = discount(float(np.std(payoffs, ddof=1)), contract.rate_r, contract.expiry_T)
+        std_error = spread / math.sqrt(cfg.n_paths)
+        half = 1.96 * std_error
+        results.append(
+            McResult(price=price, std_error=std_error, ci_low=price - half, ci_high=price + half)
+        )
+    return results[0] if isinstance(sv, SvParams) else results
 
 
 class Containment(Enum):
@@ -179,6 +236,17 @@ class SweepRow:
     verdict: Containment
 
 
+def check_sweep(cfg: McConfig, points: int) -> None:
+    """Refuse a sweep of ``points`` runs of ``cfg`` before it allocates anything."""
+    if points > MAX_SWEEP_POINTS:
+        raise ValueError(f"sweep of {points} points exceeds supported maximum {MAX_SWEEP_POINTS}")
+    cost = points * cfg.n_paths * cfg.steps
+    if cost > MAX_SWEEP_PATH_STEPS:
+        raise ValueError(
+            f"points * n_paths * steps = {cost} exceeds supported maximum {MAX_SWEEP_PATH_STEPS}"
+        )
+
+
 def containment_sweep(
     sv: SvParams,
     contract: OptionContract,
@@ -186,28 +254,36 @@ def containment_sweep(
     param: str,
     values: Sequence[float],
 ) -> list[SweepRow]:
-    """Re-price lattice and Monte Carlo while one SV parameter sweeps."""
+    """Re-price lattice and Monte Carlo while one SV parameter sweeps.
+
+    The Monte Carlo prices come from one walk per group of at most
+    ``MAX_MC_PATHS // n_paths`` points, each equal to its own ``mc_price``.
+    """
     if param not in ("sigma0", "kappa", "theta", "delta"):
         raise ValueError(f"unknown sweep parameter {param!r}")
     if not values:
         raise ValueError("sweep values must not be empty")
-    rows = []
-    for value in values:
-        point = replace(sv, **{param: float(value)})
-        lattice = price_sv_option(build_censored_lattice(point, contract)).price
-        mc = mc_price(point, contract, cfg)
-        rows.append(
-            SweepRow(
-                param=param,
-                value=float(value),
-                lattice_price=lattice,
-                mc_price=mc.price,
-                ci_low=mc.ci_low,
-                ci_high=mc.ci_high,
-                verdict=validate_lattice(lattice, mc),
-            )
+    check_sweep(cfg, len(values))
+    points = [replace(sv, **{param: float(value)}) for value in values]
+    lattices = [price_sv_option(build_censored_lattice(point, contract)).price for point in points]
+    group = MAX_MC_PATHS // cfg.n_paths
+    results = [
+        mc
+        for start in range(0, len(points), group)
+        for mc in mc_price(points[start : start + group], contract, cfg)
+    ]
+    return [
+        SweepRow(
+            param=param,
+            value=float(value),
+            lattice_price=lattice,
+            mc_price=mc.price,
+            ci_low=mc.ci_low,
+            ci_high=mc.ci_high,
+            verdict=validate_lattice(lattice, mc),
         )
-    return rows
+        for value, lattice, mc in zip(values, lattices, results)
+    ]
 
 
 def sweep_to_csv(rows: Iterable[SweepRow], stream: IO[str]) -> None:

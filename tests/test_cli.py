@@ -128,6 +128,12 @@ class TestPrice:
              "--steps", "501"],
             ["validate", *SV_FLAGS, "--param", "kappa", "--lo", "2", "--hi", "4", "--points", "2",
              "--paths", "10000000", "--mc-steps", "101", "--output", "never-written.csv"],
+            # the sweep budget at the default 100k paths x 200 steps, and the point cap
+            ["validate", *SV_FLAGS, "--param", "kappa", "--lo", "2", "--hi", "4",
+             "--points", str(montecarlo.MAX_SWEEP_PATH_STEPS // (100_000 * 200) + 1),
+             "--output", "never-written.csv"],
+            ["validate", *SV_FLAGS, "--param", "kappa", "--lo", "2", "--hi", "4",
+             "--points", str(10**12), "--paths", "2", "--mc-steps", "1", "--output", "never-written.csv"],
         ],
     )
     def test_mc_cost_cap_exit_one(self, capsys, monkeypatch, tmp_path, argv):
@@ -215,6 +221,20 @@ class TestConverge:
         rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
         errors = {r[0]: float(r[3]) for r in rows}
         assert errors["tian-trin"] < errors["crr"]
+
+    def test_overflow_row_recorded(self, capsys, tmp_path):
+        out = tmp_path / "conv.csv"
+        code, _, _ = run(
+            capsys,
+            ["converge", "--spot", "5", "--strike", "0.1", "--expiry", "1", "--rate", "800",
+             "--sigma", "1", "--methods", "crr,tian-trin", "--n-values", "1,10,2000",
+             "--output", str(out)],
+        )
+        assert code == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "method,n,price,abs_error"
+        assert lines[1] == "crr,1,nan,nan"
+        assert len(lines) == 7
 
     def test_empty_methods_usage_error(self, capsys, tmp_path):
         code, _, _ = run(

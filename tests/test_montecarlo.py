@@ -1,22 +1,29 @@
+import hashlib
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from firstlook.contracts import GbmParams, OptionContract, SvParams, per_click_value
+from firstlook.contracts import GbmParams, OptionContract, SvParams, discount, payoff, per_click_value
 from firstlook.gbm_lattice import closed_form_price
+from firstlook import montecarlo
 from firstlook.montecarlo import (
     MAX_MC_PATHS,
     MAX_PATH_STEPS,
+    MAX_SWEEP_PATH_STEPS,
+    MAX_SWEEP_POINTS,
+    PATH_BLOCK,
     Containment,
     McConfig,
     McResult,
     Scheme,
     advance,
+    check_sweep,
     containment_sweep,
     mc_price,
     sample_paths,
-    simulate_terminal,
     sweep_to_csv,
     validate_lattice,
 )
@@ -27,8 +34,11 @@ BASE_CONTRACT = OptionContract(strike=0.633, expiry_T=31 / 365, rate_r=0.05, ste
 
 
 def step(state, dt, sv, normals, scheme=Scheme.EULER, rate=0.05):
-    """One scalar step of the kernel the pricers run."""
-    return advance(*state, dt, rate, sv, *normals, scheme)
+    """One step of the kernel the pricers run, on 1-element arrays."""
+    m, sigma = (np.array([x], dtype=float) for x in state)
+    eps_price, eps_vol = (np.array([x], dtype=float) for x in normals)
+    advance(m, sigma, dt, rate, sv, eps_price, eps_vol, scheme, np.empty((3, 1)))
+    return float(m[0]), float(sigma[0])
 
 
 class TestSteps:
@@ -92,8 +102,8 @@ class TestSteps:
     def test_vector_step_matches_scalar_steps(self, scheme):
         eps_price = np.array([0.7, -1.2, 0.0])
         eps_vol = np.array([-0.3, 2.0, 1.0])
-        m, sigma = advance(np.full(3, 20.0), np.full(3, 0.5), 0.01, 0.05, BASE_SV,
-                           eps_price, eps_vol, scheme)
+        m, sigma = np.full(3, 20.0), np.full(3, 0.5)
+        advance(m, sigma, 0.01, 0.05, BASE_SV, eps_price, eps_vol, scheme, np.empty((3, 3)))
         for i in range(3):
             assert (m[i], sigma[i]) == step((20.0, 0.5), 0.01, BASE_SV, (eps_price[i], eps_vol[i]), scheme)
 
@@ -168,9 +178,13 @@ class TestPathSampling:
         assert (paths > 0).all()
 
     def test_terminal_matches_path_end(self):
-        term = simulate_terminal(BASE_SV, 0.1, 1 / 365, 20, 7, Scheme.EULER, seed=5)
-        paths = sample_paths(BASE_SV, 0.1, 1 / 365, 20, 7, Scheme.EULER, seed=5)
-        assert np.allclose(term, paths[:, -1], rtol=0, atol=0)
+        # mc_price reduces the last column of the walk that sample_paths records
+        cfg = McConfig(Scheme.EULER, n_paths=7, steps=20, seed=5)
+        paths = sample_paths(BASE_SV, BASE_CONTRACT.rate_r, BASE_CONTRACT.expiry_T / 20, 20, 7,
+                             Scheme.EULER, seed=5)
+        expected = discount(float(np.mean(payoff(paths[:, -1], BASE_CONTRACT))),
+                            BASE_CONTRACT.rate_r, BASE_CONTRACT.expiry_T)
+        assert mc_price(BASE_SV, BASE_CONTRACT, cfg).price == expected
 
 
 class TestValidation:
@@ -211,3 +225,104 @@ class TestValidation:
         cfg = McConfig(Scheme.EULER, n_paths=100, steps=5, seed=1)
         with pytest.raises(ValueError, match="empty"):
             containment_sweep(BASE_SV, BASE_CONTRACT, cfg, "kappa", [])
+
+
+class TestFrozenPaths:
+    """Monte Carlo outputs pinned bit for bit.
+
+    Captured from numpy 2.4 on x86-64 with the allocating step loop that
+    drew ``eps_price`` and ``eps_vol`` one call each per step; the in-place
+    blocked kernel must reproduce every bit. ``n_paths`` covers two paths,
+    both sides of a path-block edge and criterion 6's path count.
+    """
+
+    CONTRACT = OptionContract(strike=0.5, expiry_T=31 / 365, rate_r=0.05, steps_n=100, ctr=0.03)
+    PRICES = {
+        ("EULER", 2): ("0x1.6c3f9d4e59295p-5", "0x1.12b1caac3cb61p-6"),
+        ("EULER", 32767): ("0x1.5b78f3d555938p-3", "0x1.251bedd0f7d62p-11"),
+        ("EULER", 32769): ("0x1.5b873c31ca757p-3", "0x1.25183e5d21edep-11"),
+        ("EULER", 100000): ("0x1.5b2bb3c3966dbp-3", "0x1.510dfe5fc2979p-12"),
+        ("MILSTEIN", 2): ("0x1.6c3ebffba3e83p-5", "0x1.11c8aa55e1880p-6"),
+        ("MILSTEIN", 32767): ("0x1.5b791d90ce763p-3", "0x1.251b9e53092f5p-11"),
+        ("MILSTEIN", 32769): ("0x1.5b874e7d6cb19p-3", "0x1.25178e2d7f12ap-11"),
+        ("MILSTEIN", 100000): ("0x1.5b2b9a9d1fec1p-3", "0x1.510e4cc572f98p-12"),
+    }
+    PATHS = {
+        ("EULER", 1): "baf96338a3f553d6593582b6de1f9546b28664fcb54261be9b1fffcd516e0d68",
+        ("EULER", 300): "49e13e2f3107f0d73a6f6045dd3e8f4e70eb708c4f84c954374a779f0c5ea499",
+        ("MILSTEIN", 1): "db1829976278661fd171fdc992cb9d476f64ddc831cc5ee37d6dadbea6d7a15f",
+        ("MILSTEIN", 300): "ad3366e97b3614098cf3b294029327a4bb472e1d4d1c09058a47cbd1b4a1cd86",
+    }
+
+    def test_block_edges_are_pinned(self):
+        assert {n for _, n in self.PRICES} == {2, PATH_BLOCK - 1, PATH_BLOCK + 1, 100_000}
+
+    @pytest.mark.parametrize("scheme,n_paths", sorted(PRICES))
+    def test_mc_price(self, scheme, n_paths):
+        r = mc_price(BASE_SV, self.CONTRACT, McConfig(Scheme[scheme], n_paths, 50, seed=7))
+        assert (r.price.hex(), r.std_error.hex()) == self.PRICES[scheme, n_paths]
+
+    @pytest.mark.parametrize("scheme,n_paths", sorted(PATHS))
+    def test_sample_paths(self, scheme, n_paths):
+        paths = sample_paths(BASE_SV, 0.1, 1 / 365, 365, n_paths, Scheme[scheme], seed=5)
+        assert paths.shape == (n_paths, 366)
+        assert hashlib.sha256(paths.tobytes()).hexdigest() == self.PATHS[scheme, n_paths]
+
+
+class TestBatchedSweep:
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_rows_equal_single_point_prices(self, scheme):
+        cfg = McConfig(scheme, n_paths=PATH_BLOCK + 1000, steps=20, seed=42)
+        values = [1.0, 2.25, 3.5, 4.75, 6.0]
+        rows = containment_sweep(BASE_SV, BASE_CONTRACT, cfg, "kappa", values)
+        for row, value in zip(rows, values):
+            single = mc_price(replace(BASE_SV, kappa=value), BASE_CONTRACT, cfg)
+            assert (row.mc_price.hex(), row.ci_low.hex(), row.ci_high.hex()) == (
+                single.price.hex(), single.ci_low.hex(), single.ci_high.hex())
+
+    def test_group_of_points_is_capped(self):
+        cfg = McConfig(Scheme.EULER, n_paths=100, steps=1)
+        with pytest.raises(ValueError, match="exceeds supported maximum"):
+            mc_price([BASE_SV] * (MAX_MC_PATHS // 100 + 1), BASE_CONTRACT, cfg)
+
+    def test_peak_memory_stays_at_one_group(self, monkeypatch):
+        # two points of 40k paths fill a group, so six points walk three groups
+        monkeypatch.setattr(montecarlo, "MAX_MC_PATHS", 80_000)
+        cfg = McConfig(Scheme.EULER, n_paths=40_000, steps=2, seed=1)
+        contract = OptionContract(strike=0.633, expiry_T=31 / 365, rate_r=0.05, steps_n=10, ctr=0.03)
+
+        def peak(points):
+            values = list(np.linspace(2.0, 4.0, points))
+            tracemalloc.start()
+            try:
+                containment_sweep(BASE_SV, contract, cfg, "kappa", values)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one_group = peak(2)
+        # the group's state alone: price and volatility of 2 x 40k paths
+        assert one_group > 2 * 2 * 40_000 * 8
+        assert peak(6) < one_group + 64 * 1024
+
+    def test_sweep_budget(self):
+        # criterion 6 and the CLI defaults are admitted
+        check_sweep(McConfig(Scheme.EULER, n_paths=100_000, steps=200), 5)
+        check_sweep(McConfig(Scheme.EULER, n_paths=100_000, steps=200),
+                    MAX_SWEEP_PATH_STEPS // (100_000 * 200))
+        with pytest.raises(ValueError, match="points \\* n_paths \\* steps = 10020000000 exceeds"):
+            check_sweep(McConfig(Scheme.EULER, n_paths=100_000, steps=200), 501)
+        with pytest.raises(ValueError, match=f"sweep of {MAX_SWEEP_POINTS + 1} points exceeds"):
+            check_sweep(McConfig(Scheme.EULER, n_paths=2, steps=1), MAX_SWEEP_POINTS + 1)
+
+    def test_sweep_refuses_before_allocating(self):
+        cfg = McConfig(Scheme.EULER, n_paths=100_000, steps=200)
+        values = [3.0] * 501
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="exceeds supported maximum"):
+                containment_sweep(BASE_SV, BASE_CONTRACT, cfg, "kappa", values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
