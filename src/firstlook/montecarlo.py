@@ -21,14 +21,16 @@ from .sv_lattice import build_censored_lattice, price_sv_option
 
 # cost bounds checked before any path array exists. A run at the path cap
 # holds four 80 MB arrays: the price and volatility state and one step's
-# two normals. A sweep walks its points in groups of at most MAX_MC_PATHS
-# paths in all, so it never holds more. The path-step cap is about a
-# minute of Euler steps; a sweep may cost ten of those, over at most
-# MAX_SWEEP_POINTS points.
+# two normals. The path-step cap is about a minute of Euler steps; a sweep
+# may cost ten of those, over at most MAX_SWEEP_POINTS points.
 MAX_MC_PATHS = 10**7
 MAX_PATH_STEPS = 10**9
 MAX_SWEEP_PATH_STEPS = 10 * MAX_PATH_STEPS
 MAX_SWEEP_POINTS = 10**4
+# a sweep walks its points in groups of at most this many paths in all (8 MB
+# of price and volatility state), or one point if it has more: criterion 6's
+# five points of 100k paths share each step's normals in one group
+SWEEP_GROUP_PATHS = 2**19
 # paths per block of the step kernel: a block's normals, state and scratch
 # (about 1.75 MB) stay in a 2 MB L2 cache while every point steps through it
 PATH_BLOCK = 2**15
@@ -257,7 +259,8 @@ def containment_sweep(
     """Re-price lattice and Monte Carlo while one SV parameter sweeps.
 
     The Monte Carlo prices come from one walk per group of at most
-    ``MAX_MC_PATHS // n_paths`` points, each equal to its own ``mc_price``.
+    ``SWEEP_GROUP_PATHS // n_paths`` points (one if that is zero), each
+    equal to its own ``mc_price``.
     """
     if param not in ("sigma0", "kappa", "theta", "delta"):
         raise ValueError(f"unknown sweep parameter {param!r}")
@@ -266,7 +269,7 @@ def containment_sweep(
     check_sweep(cfg, len(values))
     points = [replace(sv, **{param: float(value)}) for value in values]
     lattices = [price_sv_option(build_censored_lattice(point, contract)).price for point in points]
-    group = MAX_MC_PATHS // cfg.n_paths
+    group = max(1, SWEEP_GROUP_PATHS // cfg.n_paths)
     results = [
         mc
         for start in range(0, len(points), group)

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+from collections import deque
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +16,7 @@ from firstlook.montecarlo import (
     MAX_SWEEP_PATH_STEPS,
     MAX_SWEEP_POINTS,
     PATH_BLOCK,
+    SWEEP_GROUP_PATHS,
     Containment,
     McConfig,
     McResult,
@@ -22,6 +24,7 @@ from firstlook.montecarlo import (
     advance,
     check_sweep,
     containment_sweep,
+    _walk_paths,
     mc_price,
     sample_paths,
     sweep_to_csv,
@@ -178,6 +181,9 @@ class TestPathSampling:
         assert (paths > 0).all()
 
     def test_terminal_matches_path_end(self):
+        term = deque(_walk_paths((BASE_SV,), 0.1, 1 / 365, 20, 7, Scheme.EULER, 5), maxlen=1).pop()[0]
+        paths = sample_paths(BASE_SV, 0.1, 1 / 365, 20, 7, Scheme.EULER, seed=5)
+        assert np.allclose(term, paths[:, -1], rtol=0, atol=0)
         # mc_price reduces the last column of the walk that sample_paths records
         cfg = McConfig(Scheme.EULER, n_paths=7, steps=20, seed=5)
         paths = sample_paths(BASE_SV, BASE_CONTRACT.rate_r, BASE_CONTRACT.expiry_T / 20, 20, 7,
@@ -280,14 +286,24 @@ class TestBatchedSweep:
             assert (row.mc_price.hex(), row.ci_low.hex(), row.ci_high.hex()) == (
                 single.price.hex(), single.ci_low.hex(), single.ci_high.hex())
 
+    def test_points_above_the_group_budget_walk_alone(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "SWEEP_GROUP_PATHS", 100)
+        cfg = McConfig(Scheme.EULER, n_paths=1000, steps=5, seed=3)
+        rows = containment_sweep(BASE_SV, BASE_CONTRACT, cfg, "kappa", [2.0, 4.0])
+        for row, value in zip(rows, [2.0, 4.0]):
+            assert row.mc_price == mc_price(replace(BASE_SV, kappa=value), BASE_CONTRACT, cfg).price
+
     def test_group_of_points_is_capped(self):
         cfg = McConfig(Scheme.EULER, n_paths=100, steps=1)
         with pytest.raises(ValueError, match="exceeds supported maximum"):
             mc_price([BASE_SV] * (MAX_MC_PATHS // 100 + 1), BASE_CONTRACT, cfg)
 
+    def test_criterion_6_sweep_is_one_group(self):
+        assert SWEEP_GROUP_PATHS // 100_000 == 5
+
     def test_peak_memory_stays_at_one_group(self, monkeypatch):
         # two points of 40k paths fill a group, so six points walk three groups
-        monkeypatch.setattr(montecarlo, "MAX_MC_PATHS", 80_000)
+        monkeypatch.setattr(montecarlo, "SWEEP_GROUP_PATHS", 80_000)
         cfg = McConfig(Scheme.EULER, n_paths=40_000, steps=2, seed=1)
         contract = OptionContract(strike=0.633, expiry_T=31 / 365, rate_r=0.05, steps_n=10, ctr=0.03)
 
