@@ -8,6 +8,7 @@ of them.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import IO, Iterable, Sequence
@@ -19,6 +20,7 @@ from .contracts import GbmParams, OptionContract, discount, underlying_value
 from .output import write_table
 
 DEFAULT_STRETCH = math.sqrt(1.5)
+LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 class MethodKind(Enum):
@@ -279,6 +281,11 @@ def trinomial_price(
     spot = underlying_value(params.spot_M0, contract)
     j = np.arange(-n, n + 1)
     log_terminal = math.log(spot) + n * math.log(move.m) + j * math.log(move.u / move.m)
+    # np.exp would turn an overflow into inf and a RuntimeWarning, where
+    # math.exp raises
+    top = float(log_terminal.max())
+    if top > LOG_FLOAT_MAX:
+        raise OverflowError(f"terminal value exp({top:.6g}) overflows a float")
     values = np.maximum(np.exp(log_terminal) - contract.strike, 0.0)
     disc = discount(1.0, contract.rate_r, contract.dt)
     q1, q2, q3 = move.q1, move.q2, move.q3

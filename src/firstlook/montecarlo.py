@@ -20,10 +20,12 @@ from .output import write_table
 from .sv_lattice import build_censored_lattice, price_sv_option
 
 # cost bounds checked before any path array exists. A run at the path cap
-# holds four 80 MB arrays: the price and volatility state and one step's
-# two normals. The path-step cap is about a minute of Euler steps; a sweep
-# may cost ten of those, over at most MAX_SWEEP_POINTS points.
+# holds three 80 MB arrays: the price and volatility state and one step's
+# two normals for half the paths, which the other half walks negated. The
+# path-step cap is about a minute of Euler steps; a sweep may cost ten of
+# those, over at most MAX_SWEEP_POINTS points.
 MAX_MC_PATHS = 10**7
+MIN_MC_PATHS = 4
 MAX_PATH_STEPS = 10**9
 MAX_SWEEP_PATH_STEPS = 10 * MAX_PATH_STEPS
 MAX_SWEEP_POINTS = 10**4
@@ -41,6 +43,10 @@ class Scheme(Enum):
     MILSTEIN = "milstein"
 
 
+class PathCountError(ValueError):
+    """A path count that cannot be split into antithetic pairs."""
+
+
 @dataclass(frozen=True)
 class McConfig:
     scheme: Scheme
@@ -49,8 +55,6 @@ class McConfig:
     seed: int = 42
 
     def __post_init__(self) -> None:
-        if self.n_paths < 2:
-            raise ValueError(f"n_paths must be >= 2, got {self.n_paths}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         if self.n_paths > MAX_MC_PATHS:
@@ -58,6 +62,9 @@ class McConfig:
         cost = self.n_paths * self.steps
         if cost > MAX_PATH_STEPS:
             raise ValueError(f"n_paths * steps = {cost} exceeds supported maximum {MAX_PATH_STEPS}")
+        # paths run in antithetic pairs, and one pair has no spread
+        if self.n_paths < MIN_MC_PATHS or self.n_paths % 2:
+            raise PathCountError(f"n_paths must be even and >= {MIN_MC_PATHS}, got {self.n_paths}")
 
 
 @dataclass(frozen=True)
@@ -132,13 +139,17 @@ def _walk_paths(
     n_paths: int,
     scheme: Scheme,
     seed: int,
+    paired: bool = False,
 ) -> Iterator[np.ndarray]:
     """Yield the (points, n_paths) prices at the spot and after each step.
 
     The yielded array is the walk's state, updated in place by the next
     step. Every point walks the same normals: per step ``eps_price`` then
     ``eps_vol`` from one Philox stream, drawn a block of steps at a time
-    while a step has fewer than ``PATH_BLOCK`` paths.
+    while a step has fewer than ``PATH_BLOCK`` paths. Paired, normals are
+    drawn for the first ``n_paths // 2`` paths only, and path
+    ``i + n_paths // 2`` walks path ``i``'s normals negated (antithetic
+    pairs), so the first half is the unpaired walk of ``n_paths // 2`` paths.
     """
     rng = _generator(seed)
     m = np.empty((len(points), n_paths))
@@ -146,21 +157,33 @@ def _walk_paths(
     for p, sv in enumerate(points):
         m[p] = sv.spot_M0
         sigma[p] = sv.sigma0
-    per_draw = max(1, min(steps, PATH_BLOCK // n_paths))
-    eps = np.empty((per_draw, 2, n_paths))
-    scratch = np.empty((3, min(n_paths, PATH_BLOCK)))
+    drawn_paths = n_paths // 2 if paired else n_paths
+    per_draw = max(1, min(steps, PATH_BLOCK // drawn_paths))
+    eps = np.empty((per_draw, 2, drawn_paths))
+    scratch = np.empty((3, min(drawn_paths, PATH_BLOCK)))
+    # (first path, buffer for the negated normals or None) of each half; a
+    # block's antithetic half steps right after it, while its normals are in cache
+    halves = [(0, None)]
+    if paired:
+        halves.append((drawn_paths, np.empty((2, min(drawn_paths, PATH_BLOCK)))))
     blocks = []
-    for j in range(0, n_paths, PATH_BLOCK):
-        block = slice(j, j + PATH_BLOCK)
-        states = [(m[p, block], sigma[p, block], sv) for p, sv in enumerate(points)]
-        blocks.append((block, scratch[:, : min(PATH_BLOCK, n_paths - j)], states))
+    for j in range(0, drawn_paths, PATH_BLOCK):
+        width = min(PATH_BLOCK, drawn_paths - j)
+        for offset, negation in halves:
+            state = slice(offset + j, offset + j + width)
+            states = [(m[p, state], sigma[p, state], sv) for p, sv in enumerate(points)]
+            negated = None if negation is None else negation[:, :width]
+            blocks.append((slice(j, j + width), negated, scratch[:, :width], states))
     yield m
     for done in range(0, steps, per_draw):
         drawn = eps[: min(per_draw, steps - done)]
         rng.standard_normal(out=drawn)
-        for eps_price, eps_vol in drawn:
-            for block, block_scratch, states in blocks:
-                block_price, block_vol = eps_price[block], eps_vol[block]
+        for step_eps in drawn:
+            for block, negated, block_scratch, states in blocks:
+                block_eps = step_eps[:, block]
+                if negated is not None:
+                    block_eps = np.negative(block_eps, out=negated)
+                block_price, block_vol = block_eps
                 for m_block, sigma_block, sv in states:
                     advance(m_block, sigma_block, dt, drift, sv, block_price, block_vol,
                             scheme, block_scratch)
@@ -176,7 +199,10 @@ def sample_paths(
     scheme: Scheme,
     seed: int,
 ) -> np.ndarray:
-    """Full price paths, shape (n_paths, steps + 1), column 0 at the spot."""
+    """Full price paths, shape (n_paths, steps + 1), column 0 at the spot.
+
+    The paths are independent: they are not drawn in antithetic pairs.
+    """
     out = np.empty((n_paths, steps + 1))
     for i, m in enumerate(_walk_paths((sv,), drift, dt, steps, n_paths, scheme, seed)):
         out[:, i] = m[0]
@@ -188,6 +214,9 @@ def mc_price(
 ) -> McResult | list[McResult]:
     """Average of discounted terminal payoffs with its 95% interval.
 
+    The paths run in ``n_paths // 2`` antithetic pairs, and the standard
+    error is that of the mean of the pairs' average payoffs: a pair's two
+    payoffs are correlated, so the spread over all paths would misstate it.
     Given a sequence of SV points, every point walks the same normals in
     one state of ``len(sv) * n_paths`` paths, at most ``MAX_MC_PATHS``,
     and the list of results holds each point's single-point result.
@@ -198,13 +227,16 @@ def mc_price(
             f"{len(points)} points x {cfg.n_paths} paths exceeds supported maximum {MAX_MC_PATHS}"
         )
     dt = contract.expiry_T / cfg.steps
-    walk = _walk_paths(points, contract.rate_r, dt, cfg.steps, cfg.n_paths, cfg.scheme, cfg.seed)
+    walk = _walk_paths(points, contract.rate_r, dt, cfg.steps, cfg.n_paths, cfg.scheme, cfg.seed,
+                       paired=True)
+    pairs = cfg.n_paths // 2
     results = []
     for terminal in deque(walk, maxlen=1).pop():
         payoffs = payoff(terminal, contract)
-        price = discount(float(np.mean(payoffs)), contract.rate_r, contract.expiry_T)
-        spread = discount(float(np.std(payoffs, ddof=1)), contract.rate_r, contract.expiry_T)
-        std_error = spread / math.sqrt(cfg.n_paths)
+        pair_means = 0.5 * (payoffs[:pairs] + payoffs[pairs:])
+        price = discount(float(np.mean(pair_means)), contract.rate_r, contract.expiry_T)
+        spread = discount(float(np.std(pair_means, ddof=1)), contract.rate_r, contract.expiry_T)
+        std_error = spread / math.sqrt(pairs)
         half = 1.96 * std_error
         results.append(
             McResult(price=price, std_error=std_error, ci_low=price - half, ci_high=price + half)

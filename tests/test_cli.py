@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import pytest
 
@@ -133,7 +134,7 @@ class TestPrice:
              "--points", str(montecarlo.MAX_SWEEP_PATH_STEPS // (100_000 * 200) + 1),
              "--output", "never-written.csv"],
             ["validate", *SV_FLAGS, "--param", "kappa", "--lo", "2", "--hi", "4",
-             "--points", str(10**12), "--paths", "2", "--mc-steps", "1", "--output", "never-written.csv"],
+             "--points", str(10**12), "--paths", "4", "--mc-steps", "1", "--output", "never-written.csv"],
         ],
     )
     def test_mc_cost_cap_exit_one(self, capsys, monkeypatch, tmp_path, argv):
@@ -152,6 +153,23 @@ class TestPrice:
         assert err.count("\n") == 1 and "exceeds supported maximum" in err
         # refused before any path array is allocated
         assert peak < 64 * 1024
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["price", "--method", "mc-euler", *SV_FLAGS, "--paths", "3"],
+            ["price", "--method", "mc-milstein", *SV_FLAGS, "--paths", "2"],
+            ["validate", *SV_FLAGS, "--param", "kappa", "--lo", "2", "--hi", "4", "--points", "2",
+             "--paths", "9999", "--mc-steps", "10", "--output", "never-written.csv"],
+        ],
+    )
+    def test_unpaired_path_count_usage_error(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "n_paths must be even and >= 4" in err
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
@@ -235,6 +253,22 @@ class TestConverge:
         assert lines[0] == "method,n,price,abs_error"
         assert lines[1] == "crr,1,nan,nan"
         assert len(lines) == 7
+
+    def test_trinomial_overflow_rows_are_nan(self, capsys, tmp_path):
+        # the tian-trin terminal grid overflows at n = 10 and 2000; those rows
+        # are failures like crr's, not inf, and nothing warns
+        out = tmp_path / "conv.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(
+                capsys,
+                ["converge", "--spot", "5", "--strike", "0.1", "--expiry", "1", "--rate", "800",
+                 "--sigma", "1", "--methods", "crr,tian-trin", "--n-values", "1,10,2000",
+                 "--output", str(out)],
+            )
+        assert (code, err) == (0, "")
+        assert out.read_text().splitlines()[4:] == [
+            "tian-trin,1,nan,nan", "tian-trin,10,nan,nan", "tian-trin,2000,nan,nan"]
 
     def test_empty_methods_usage_error(self, capsys, tmp_path):
         code, _, _ = run(
@@ -480,6 +514,8 @@ class TestFrozenOutputs:
     folded into ``firstlook.output``; a refactor must leave every byte as is.
     The two ``diagnose`` digests were re-pinned when its tables moved from LF
     to CRLF line endings; with CRLF turned back into LF they are the old ones.
+    The four Monte Carlo digests (``c11-price``, ``c11-validate`` and
+    ``price-mc-*``) were re-pinned when ``mc_price`` moved to antithetic pairs.
     """
 
     MARKET_FLAGS = ["--input", "{in}/series.csv", "--output-dir", "{out}/diag"]
@@ -545,9 +581,9 @@ class TestFrozenOutputs:
     DIGESTS = {
         "c11-converge": "70117bca8e82f492e855528be64e48d8e0c6835f396e3260768626dbaf1b4126",
         "c11-diagnose": "aa6cd8f91acb5b1d388c076f69fafb92629d7af3b941717759d7195bef1c1cda",
-        "c11-price": "ed475a1aaa68fecb0e7247ba5a11ccc408949e2b54147a7ac92f6f92b2bf48a3",
+        "c11-price": "d27b07b8a57f1870b54b511f14535d9258aeddff95b66fc09591c098f05e6293",
         "c11-simulate": "1fe0626f40e6f61fd1b7492a100c77501991314d2da16d13816fc09f12f0d7e6",
-        "c11-validate": "000c4783e7cde1134e2d8965c538a9609dd84d0783d884e02e08016b36d59ea7",
+        "c11-validate": "16f0657d6d9de66145b8e999744f76fa1a26ea4faa32c2ccac21ab73fd80065a",
         "converge-failing-rows": "6cf6a26d3c4dc1f3e76a1f833ae1a1f0da457da4ce4ea5ca4bf8d1926b0f4c3a",
         "diagnose-options": "b205199bb05aee19f82f71d41c4d56bf7ad65aa3bafd3e2a609a42ce57b06998",
         "price-boyle-trin": "c21a90311043592c11b354cbc873f9cb7df8b0d8748e0e3eb4cbf1b3ad481e56",
@@ -555,8 +591,8 @@ class TestFrozenOutputs:
         "price-crr": "26daecc366fa98e0a7a393038961e98e76c7620395e0fb311592ebe851ad91c0",
         "price-haahtela": "e899306a0e50d2070355e33d0cb7739196e23cba5234fc2f2998ba91449f0842",
         "price-kr-trin": "aaa3521c14b104fdca1cec6f248812cbbbb30ab276ee77ef89972df69fc0f8f8",
-        "price-mc-euler": "a44e223d78d36d1acd1c8e2dbc45c0b407afb23bdd60f5afeea780feb6ff8202",
-        "price-mc-milstein": "93cfb7a69b579e42e76c217b463c28577168e9e17833b80bd53729f5007fea17",
+        "price-mc-euler": "a905084d0ceb05e3048aa429986a45fa86650b6653ad62cb96c8eeb46d76ab1f",
+        "price-mc-milstein": "fd024eba5c747990fa16511a04fcc923e5a9cf5af59f217cd3ef1130b7da1ddf",
         "price-sv-lattice": "7948f213e03cf58f9971a2a0db4366b9c6e8bee57808542275e4512fc126b784",
         "price-tian-bin": "8145d7b3c0a5424448afebe332cf611a2e97db12e5409ffb636063b1dfe30361",
         "price-tian-trin": "e217c2b88471e013085c21c756e9387e0fcb9f2d049110bcc88860c53bc5ba00",

@@ -20,6 +20,7 @@ from firstlook.montecarlo import (
     Containment,
     McConfig,
     McResult,
+    PathCountError,
     Scheme,
     advance,
     check_sweep,
@@ -163,6 +164,11 @@ class TestMcPrice:
         with pytest.raises(ValueError):
             McConfig(Scheme.EULER, n_paths=100, steps=0)
 
+    @pytest.mark.parametrize("n_paths", [-2, 0, 2, 3, 5, 99_999])
+    def test_path_count_must_pair(self, n_paths):
+        with pytest.raises(PathCountError, match=f"n_paths must be even and >= 4, got {n_paths}$"):
+            McConfig(Scheme.EULER, n_paths=n_paths, steps=10)
+
     def test_cost_caps(self):
         with pytest.raises(ValueError, match="n_paths = 10000001 exceeds"):
             McConfig(Scheme.EULER, n_paths=MAX_MC_PATHS + 1, steps=1)
@@ -184,13 +190,68 @@ class TestPathSampling:
         term = deque(_walk_paths((BASE_SV,), 0.1, 1 / 365, 20, 7, Scheme.EULER, 5), maxlen=1).pop()[0]
         paths = sample_paths(BASE_SV, 0.1, 1 / 365, 20, 7, Scheme.EULER, seed=5)
         assert np.allclose(term, paths[:, -1], rtol=0, atol=0)
-        # mc_price reduces the last column of the walk that sample_paths records
-        cfg = McConfig(Scheme.EULER, n_paths=7, steps=20, seed=5)
-        paths = sample_paths(BASE_SV, BASE_CONTRACT.rate_r, BASE_CONTRACT.expiry_T / 20, 20, 7,
-                             Scheme.EULER, seed=5)
-        expected = discount(float(np.mean(payoff(paths[:, -1], BASE_CONTRACT))),
-                            BASE_CONTRACT.rate_r, BASE_CONTRACT.expiry_T)
-        assert mc_price(BASE_SV, BASE_CONTRACT, cfg).price == expected
+
+
+def walk_on(normals, sv, drift, dt, scheme):
+    """Terminal prices of one unblocked ``advance`` loop over (steps, 2, paths) normals."""
+    n = normals.shape[2]
+    m, sigma = np.full(n, sv.spot_M0), np.full(n, sv.sigma0)
+    for eps_price, eps_vol in normals:
+        advance(m, sigma, dt, drift, sv, eps_price, eps_vol, scheme, np.empty((3, n)))
+    return m
+
+
+class TestAntitheticPairs:
+    """``mc_price`` walks ``n_paths // 2`` drawn paths and their negations."""
+
+    # a few paths drawn many steps per call, and both sides of a path-block edge
+    SIZES = [(8, 20), (2 * (PATH_BLOCK + 3), 3)]
+
+    def paired_terminal(self, scheme, n_paths, steps):
+        walk = _walk_paths((BASE_SV,), 0.1, 1 / 365, steps, n_paths, scheme, 5, paired=True)
+        return deque(walk, maxlen=1).pop()[0]
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("n_paths,steps", SIZES)
+    def test_first_half_is_the_unpaired_walk(self, scheme, n_paths, steps):
+        half = n_paths // 2
+        term = self.paired_terminal(scheme, n_paths, steps)
+        paths = sample_paths(BASE_SV, 0.1, 1 / 365, steps, half, scheme, seed=5)
+        assert np.allclose(term[:half], paths[:, -1], rtol=0, atol=0)
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("n_paths,steps", SIZES)
+    def test_second_half_walks_the_negated_normals(self, scheme, n_paths, steps):
+        half = n_paths // 2
+        term = self.paired_terminal(scheme, n_paths, steps)
+        normals = np.random.Generator(np.random.Philox(5)).standard_normal((steps, 2, half))
+        expected = walk_on(-normals, BASE_SV, 0.1, 1 / 365, scheme)
+        assert np.allclose(term[half:], expected, rtol=0, atol=0)
+        assert not np.allclose(term[:half], expected)
+
+    def test_price_and_error_come_from_pair_means(self):
+        c, steps = BASE_CONTRACT, 20
+        normals = np.random.Generator(np.random.Philox(5)).standard_normal((steps, 2, 4))
+        drawn, negated = (payoff(walk_on(eps, BASE_SV, c.rate_r, c.expiry_T / steps, Scheme.EULER), c)
+                          for eps in (normals, -normals))
+        pair_means = (drawn + negated) / 2
+        r = mc_price(BASE_SV, c, McConfig(Scheme.EULER, n_paths=8, steps=steps, seed=5))
+        assert r.price == discount(float(pair_means.mean()), c.rate_r, c.expiry_T)
+        assert r.std_error == discount(float(pair_means.std(ddof=1)), c.rate_r, c.expiry_T) / 2
+
+    def test_std_error_is_calibrated(self):
+        # over 200 seeds the prices' spread should match the mean reported
+        # error. The spread's own relative error is about 1/sqrt(2 * 199), 5%,
+        # so the band is three of those. Near the money a pair's payoffs are
+        # anticorrelated: with the spread over all paths the ratio reads 0.65,
+        # and with the pair means' spread over sqrt(n_paths) it reads 1.4.
+        prices, errors = [], []
+        for seed in range(200):
+            r = mc_price(BASE_SV, BASE_CONTRACT, McConfig(Scheme.EULER, 2000, 20, seed=seed))
+            prices.append(r.price)
+            errors.append(r.std_error)
+        ratio = float(np.std(prices, ddof=1) / np.mean(errors))
+        assert 0.85 < ratio < 1.15
 
 
 class TestValidation:
@@ -236,22 +297,24 @@ class TestValidation:
 class TestFrozenPaths:
     """Monte Carlo outputs pinned bit for bit.
 
-    Captured from numpy 2.4 on x86-64 with the allocating step loop that
-    drew ``eps_price`` and ``eps_vol`` one call each per step; the in-place
-    blocked kernel must reproduce every bit. ``n_paths`` covers two paths,
-    both sides of a path-block edge and criterion 6's path count.
+    ``PATHS`` was captured from numpy 2.4 on x86-64 with the allocating
+    step loop that drew ``eps_price`` and ``eps_vol`` one call each per
+    step; the in-place blocked kernel must reproduce every bit. ``PRICES``
+    was re-pinned when ``mc_price`` moved to antithetic pairs. Its
+    ``n_paths`` covers two pairs, drawn halves on both sides of a
+    path-block edge, and criterion 6's path count.
     """
 
     CONTRACT = OptionContract(strike=0.5, expiry_T=31 / 365, rate_r=0.05, steps_n=100, ctr=0.03)
     PRICES = {
-        ("EULER", 2): ("0x1.6c3f9d4e59295p-5", "0x1.12b1caac3cb61p-6"),
-        ("EULER", 32767): ("0x1.5b78f3d555938p-3", "0x1.251bedd0f7d62p-11"),
-        ("EULER", 32769): ("0x1.5b873c31ca757p-3", "0x1.25183e5d21edep-11"),
-        ("EULER", 100000): ("0x1.5b2bb3c3966dbp-3", "0x1.510dfe5fc2979p-12"),
-        ("MILSTEIN", 2): ("0x1.6c3ebffba3e83p-5", "0x1.11c8aa55e1880p-6"),
-        ("MILSTEIN", 32767): ("0x1.5b791d90ce763p-3", "0x1.251b9e53092f5p-11"),
-        ("MILSTEIN", 32769): ("0x1.5b874e7d6cb19p-3", "0x1.25178e2d7f12ap-11"),
-        ("MILSTEIN", 100000): ("0x1.5b2b9a9d1fec1p-3", "0x1.510e4cc572f98p-12"),
+        ("EULER", 4): ("0x1.6d6bd80d41d81p-3", "0x1.889079d2f921ep-9"),
+        ("EULER", 65534): ("0x1.5b973d517b6a7p-3", "0x1.92d7c15018d0dp-14"),
+        ("EULER", 65538): ("0x1.5b8bfaf1f0bddp-3", "0x1.979d8e1d9140ap-14"),
+        ("EULER", 100000): ("0x1.5c0a46308debep-3", "0x1.4e2ad1ed01af9p-14"),
+        ("MILSTEIN", 4): ("0x1.6d66bb6b710cfp-3", "0x1.87dd1cade06f3p-9"),
+        ("MILSTEIN", 65534): ("0x1.5b97251f28dcep-3", "0x1.92d44788c3de5p-14"),
+        ("MILSTEIN", 65538): ("0x1.5b8bd64f1976ep-3", "0x1.979667b31b0dfp-14"),
+        ("MILSTEIN", 100000): ("0x1.5c0a4fcf36f41p-3", "0x1.4e2900123fd4ep-14"),
     }
     PATHS = {
         ("EULER", 1): "baf96338a3f553d6593582b6de1f9546b28664fcb54261be9b1fffcd516e0d68",
@@ -261,7 +324,7 @@ class TestFrozenPaths:
     }
 
     def test_block_edges_are_pinned(self):
-        assert {n for _, n in self.PRICES} == {2, PATH_BLOCK - 1, PATH_BLOCK + 1, 100_000}
+        assert {n for _, n in self.PRICES} == {4, 2 * (PATH_BLOCK - 1), 2 * (PATH_BLOCK + 1), 100_000}
 
     @pytest.mark.parametrize("scheme,n_paths", sorted(PRICES))
     def test_mc_price(self, scheme, n_paths):
@@ -329,7 +392,7 @@ class TestBatchedSweep:
         with pytest.raises(ValueError, match="points \\* n_paths \\* steps = 10020000000 exceeds"):
             check_sweep(McConfig(Scheme.EULER, n_paths=100_000, steps=200), 501)
         with pytest.raises(ValueError, match=f"sweep of {MAX_SWEEP_POINTS + 1} points exceeds"):
-            check_sweep(McConfig(Scheme.EULER, n_paths=2, steps=1), MAX_SWEEP_POINTS + 1)
+            check_sweep(McConfig(Scheme.EULER, n_paths=4, steps=1), MAX_SWEEP_POINTS + 1)
 
     def test_sweep_refuses_before_allocating(self):
         cfg = McConfig(Scheme.EULER, n_paths=100_000, steps=200)
