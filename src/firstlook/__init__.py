@@ -6,54 +6,18 @@ models, plus diagnostics for the constant-vol assumption and an
 ad-market delivery/revenue simulator.
 """
 
-from .contracts import (
-    GbmParams,
-    OptionContract,
-    StrikeBasis,
-    SvParams,
-    discount,
-    payoff,
-    per_click_value,
-)
-from .gbm_lattice import (
-    LatticeMethod,
-    MethodKind,
-    MoveSpec,
-    binomial_price_sum,
-    closed_form_price,
-    complementary_binomial_price,
-    convergence_report,
-    lattice_price,
-    movement_params,
-    trinomial_price,
-)
-from .montecarlo import McConfig, McResult, Scheme, mc_price, validate_lattice
-from .sv_lattice import build_censored_lattice, price_sv_option, vol_mean_path
+from .contracts import GbmParams, OptionContract, SvParams
+from .gbm_lattice import LatticeMethod, MethodKind, binomial_price_sum, closed_form_price
+from .sv_lattice import build_censored_lattice, price_sv_option
 
 __all__ = [
     "GbmParams",
     "LatticeMethod",
-    "McConfig",
-    "McResult",
     "MethodKind",
-    "MoveSpec",
     "OptionContract",
-    "Scheme",
-    "StrikeBasis",
     "SvParams",
     "binomial_price_sum",
     "build_censored_lattice",
     "closed_form_price",
-    "complementary_binomial_price",
-    "convergence_report",
-    "discount",
-    "lattice_price",
-    "mc_price",
-    "movement_params",
-    "payoff",
-    "per_click_value",
     "price_sv_option",
-    "trinomial_price",
-    "validate_lattice",
-    "vol_mean_path",
 ]

@@ -20,6 +20,9 @@ from .contracts import GbmParams, OptionContract, StrikeBasis, SvParams
 from .output import json_dump, write_table
 
 DEFAULT_SEED = 42
+# the simulate settings that neither a flag nor the --config file has to give
+SIM_DEFAULTS = {"ctr": 0.03, "sell_ratio": 0.2, "seed": DEFAULT_SEED, "rate": 0.05,
+                "supply": 8000, "days": 30, "spot_cpm": 1.0}
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
@@ -296,38 +299,35 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK if contained else EXIT_FAILURE
 
 
-def _sim_setting(args: argparse.Namespace, config: dict, key: str, default=None):
-    flag = getattr(args, key)
-    if flag is not None:
-        return flag
-    return config.get(key, default)
-
-
-def _load_sim_config(args: argparse.Namespace) -> dict:
-    """The --config scenario; its keys are the simulate flags' destinations."""
-    if args.config is None:
-        return {}
-    if not args.config.exists():
-        raise UsageError(f"config file not found: {args.config}")
-    config = json.loads(args.config.read_text())
-    if not isinstance(config, dict):
-        raise UsageError(f"config {args.config} must hold a JSON object")
-    unknown = sorted(set(config) - (set(vars(args)) - {"command", "config", "output_dir"}))
-    if unknown:
-        raise UsageError(f"unknown config keys in {args.config}: {', '.join(unknown)}")
-    return config
+def _sim_settings(args: argparse.Namespace) -> dict:
+    """SIM_DEFAULTS, under the --config scenario (keyed by flag destination), under the flags."""
+    keys = set(vars(args)) - {"command", "config", "output_dir"}
+    config = {}
+    if args.config is not None:
+        if not args.config.exists():
+            raise UsageError(f"config file not found: {args.config}")
+        try:
+            config = json.loads(args.config.read_text())
+        except ValueError as exc:
+            raise UsageError(f"config {args.config} is not valid JSON: {exc}") from None
+        if not isinstance(config, dict):
+            raise UsageError(f"config {args.config} must hold a JSON object")
+        unknown = sorted(set(config) - keys)
+        if unknown:
+            raise UsageError(f"unknown config keys in {args.config}: {', '.join(unknown)}")
+    flags = {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
+    return {**SIM_DEFAULTS, **config, **flags}
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    config = _load_sim_config(args)
+    settings = _sim_settings(args)
 
-    ctr = float(_sim_setting(args, config, "ctr", 0.03))
-    budget = _sim_setting(args, config, "budget")
-    strike_cpc = _sim_setting(args, config, "strike_cpc")
-    sell_ratio = float(_sim_setting(args, config, "sell_ratio", 0.2))
-    seed = int(_sim_setting(args, config, "seed", DEFAULT_SEED))
-    rate = float(_sim_setting(args, config, "rate", 0.05))
-    supply = int(_sim_setting(args, config, "supply", 8000))
+    budget, strike_cpc = settings.get("budget"), settings.get("strike_cpc")
+    ctr = float(settings["ctr"])
+    sell_ratio = float(settings["sell_ratio"])
+    seed = int(settings["seed"])
+    rate = float(settings["rate"])
+    supply = int(settings["supply"])
     if budget is None:
         raise UsageError("--budget is required (flag or config)")
     if strike_cpc is None:
@@ -335,9 +335,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     budget = float(budget)
     strike_cpc = float(strike_cpc)
 
-    market_path = _sim_setting(args, config, "market")
-    scenario = _sim_setting(args, config, "scenario")
-    sigma = _sim_setting(args, config, "sigma")
+    market_path = settings.get("market")
+    scenario = settings.get("scenario")
+    sigma = settings.get("sigma")
 
     if market_path is not None:
         market_path = Path(market_path)
@@ -353,10 +353,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         ]
         horizon_days = len(days)
     elif scenario is not None:
-        n_days = int(_sim_setting(args, config, "days", 30))
-        spot = float(_sim_setting(args, config, "spot_cpm", 1.0))
+        n_days = int(settings["days"])
+        spot = float(settings["spot_cpm"])
         sigma = float(sigma if sigma is not None else 0.5)
-        drift = _sim_setting(args, config, "drift")
+        drift = settings.get("drift")
         if drift is None:
             drift = 3.0 if scenario == "bull" else -3.0
         sv = SvParams(spot_M0=spot, sigma0=sigma, kappa=0.0, theta=sigma, delta=0.0)
@@ -365,7 +365,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     else:
         raise UsageError("either --market or --scenario is required")
 
-    option_price = _sim_setting(args, config, "option_price")
+    option_price = settings.get("option_price")
     if option_price is None:
         contract = OptionContract(
             strike=strike_cpc,
@@ -385,12 +385,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     out = args.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "rtb.csv", "w", newline="") as fh:
-        market_sim.ledger_to_csv(rtb, fh)
-    with open(out / "options.csv", "w", newline="") as fh:
-        market_sim.ledger_to_csv(options, fh)
-    with open(out / "revenue.csv", "w", newline="") as fh:
-        market_sim.revenue_to_csv(revenue, fh)
+    for name, write, result in (
+        ("rtb.csv", market_sim.ledger_to_csv, rtb),
+        ("options.csv", market_sim.ledger_to_csv, options),
+        ("revenue.csv", market_sim.revenue_to_csv, revenue),
+    ):
+        with open(out / name, "w", newline="") as fh:
+            write(result, fh)
 
     json_dump({
         "option_price": option_price,
@@ -422,10 +423,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_USAGE
     try:
         return _DISPATCH[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (FileNotFoundError, montecarlo.PathCountError) as exc:
+    except (UsageError, FileNotFoundError, montecarlo.PathCountError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, OSError) as exc:

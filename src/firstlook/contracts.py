@@ -65,10 +65,6 @@ class OptionContract:
         """Length of one lattice step in years."""
         return self.expiry_T / self.steps_n
 
-    def growth_per_step(self) -> float:
-        """Risk-less gross return over one step, e^(r*dt)."""
-        return math.exp(self.rate_r * self.dt)
-
 
 @dataclass(frozen=True)
 class GbmParams:

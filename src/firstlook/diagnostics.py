@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import chdtrc
 
 from . import montecarlo
@@ -51,8 +52,7 @@ class PriceSeries:
     @property
     def dt(self) -> float:
         """Implied uniform spacing in years."""
-        gaps = [(self.dates[i + 1] - self.dates[i]).days for i in range(len(self.dates) - 1)]
-        return (sum(gaps) / len(gaps)) / DAYS_PER_YEAR
+        return ((self.dates[-1] - self.dates[0]).days / (len(self.dates) - 1)) / DAYS_PER_YEAR
 
     @property
     def values(self) -> np.ndarray:
@@ -170,11 +170,11 @@ def gbm_test(series: PriceSeries, alpha: float = 0.05, lags: int | None = None) 
     n = ratios.size
     if lags is None:
         lags = min(10, n // 5)
-    if lags < 1:
-        raise ValueError(f"series too short for the independence test (n = {n})")
+        if lags < 1:
+            raise ValueError(f"series too short for the independence test (n = {n})")
     w, p_w = shapiro_wilk(ratios)
     q, p_q = ljung_box(ratios, lags)
-    acf_res = acf(ratios, min(lags, n - 1))
+    acf_res = acf(ratios, lags)
     return GbmVerdict(
         shapiro_w=w,
         shapiro_p=p_w,
@@ -204,10 +204,7 @@ def realized_vol(series: PriceSeries, window: int) -> np.ndarray:
     if ratios.size < window:
         raise ValueError("series shorter than the rolling window")
     scale = 1.0 / math.sqrt(series.dt)
-    out = np.empty(ratios.size - window + 1)
-    for i in range(out.size):
-        out[i] = np.std(ratios[i : i + window], ddof=1) * scale
-    return out
+    return sliding_window_view(ratios, window).std(axis=1, ddof=1) * scale
 
 
 def _long_run_variance(u: np.ndarray, max_lag: int) -> float:
@@ -263,13 +260,6 @@ def estimate_sv(series: PriceSeries, window: int = 7) -> SvParams:
     )
 
 
-def _smooth(x: np.ndarray, window: int) -> np.ndarray:
-    if window <= 1:
-        return x
-    kernel = np.full(window, 1.0 / window)
-    return np.convolve(x, kernel, mode="valid")
-
-
 def l2_fitness(actual: np.ndarray, simulated: np.ndarray) -> tuple[float, float]:
     """Euclidean distance between two equal-length paths, raw and smoothed."""
     if actual.size != simulated.size:
@@ -277,7 +267,8 @@ def l2_fitness(actual: np.ndarray, simulated: np.ndarray) -> tuple[float, float]
     if SMOOTH_WINDOW > actual.size:
         raise ValueError("SMOOTH_WINDOW larger than the series")
     raw = float(np.linalg.norm(actual - simulated))
-    smoothed = _smooth(actual, SMOOTH_WINDOW) - _smooth(simulated, SMOOTH_WINDOW)
+    kernel = np.full(SMOOTH_WINDOW, 1.0 / SMOOTH_WINDOW)
+    smoothed = np.convolve(actual, kernel, mode="valid") - np.convolve(simulated, kernel, mode="valid")
     return raw, float(np.linalg.norm(smoothed))
 
 

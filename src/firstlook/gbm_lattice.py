@@ -71,18 +71,6 @@ class MoveSpec:
     m: float | None = None
     q3: float | None = None
 
-    @property
-    def scales(self) -> tuple[float, ...]:
-        if self.m is None:
-            return (self.u, self.d)
-        return (self.u, self.m, self.d)
-
-    @property
-    def probs(self) -> tuple[float, ...]:
-        if self.q3 is None:
-            return (self.q1, self.q2)
-        return (self.q1, self.q2, self.q3)
-
 
 def _check_probs(kind: MethodKind, **probs: float) -> None:
     for name, q in probs.items():
@@ -93,14 +81,21 @@ def _check_probs(kind: MethodKind, **probs: float) -> None:
             )
 
 
+def _check_spread(kind: MethodKind, *moves: float) -> None:
+    # the probabilities divide by the gaps between the moves, top down
+    if not all(a > b for a, b in zip(moves, moves[1:])):
+        raise ValueError(f"invalid parameterization for {kind.value}: the moves {moves} "
+                         "do not spread apart (sigma * sqrt(dt) too small)")
+
+
 def movement_params(
     method: LatticeMethod, sigma: float, rate_r: float, dt: float
 ) -> MoveSpec:
     """Movement scales and transition probabilities for one time step.
 
-    Raises ValueError when the requested parameterization produces a
-    transition probability outside [0, 1]; probabilities are never
-    clamped.
+    Raises ValueError when the requested parameterization's moves do not
+    spread apart or give a transition probability outside [0, 1];
+    probabilities are never clamped.
     """
     if sigma <= 0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
@@ -124,6 +119,7 @@ def movement_params(
         d = math.exp(-half_width + rate_r * dt)
 
     if method.is_binomial:
+        _check_spread(kind, u, d)
         q1 = (g - d) / (u - d)
         _check_probs(kind, q1=q1)
         return MoveSpec(u=u, d=d, q1=q1, q2=1.0 - q1)
@@ -133,6 +129,7 @@ def movement_params(
     if kind is MethodKind.BOYLE_TRIN:
         u = math.exp(lam * sigma * math.sqrt(dt))
         d = 1.0 / u
+        _check_spread(kind, u, 1.0)
         v = math.exp(2.0 * rate_r * dt) * (z - 1.0)
         denom = (u - 1.0) * (u * u - 1.0)
         q1 = ((v + g * g - g) * u - (g - 1.0)) / denom
@@ -157,6 +154,7 @@ def movement_params(
         root = math.sqrt(w * w - m * m)
         u = w + root
         d = w - root
+        _check_spread(kind, u, m, d)
         q1 = (m * d - g * (m + d) + g * g * z) / ((u - d) * (u - m))
         q3 = (u * m - g * (u + m) + g * g * z) / ((u - d) * (m - d))
         # q2 by normalization: the explicit form cancels badly at small dt
@@ -173,10 +171,19 @@ MAX_BINOMIAL_STEPS = 100_000
 MAX_TRINOMIAL_STEPS = 20_000
 
 
-def _terminal_log_values(spot: float, move: MoveSpec, n: int) -> np.ndarray:
-    """log of terminal underlying values at nodes j = 0..n (binomial)."""
+def _binomial_grid(
+    params: GbmParams, contract: OptionContract, method: LatticeMethod
+) -> tuple[MoveSpec, float, np.ndarray]:
+    """The step's moves, the spot on the strike's basis, and the log terminal
+    underlying values at nodes j = 0..n (ascending) of a binomial lattice."""
+    if not method.is_binomial:
+        raise ValueError(f"{method.kind.value} is not a binomial method")
+    contract.check_steps(MAX_BINOMIAL_STEPS)
+    n = contract.steps_n
+    move = movement_params(method, params.sigma, contract.rate_r, contract.dt)
+    spot = underlying_value(params.spot_M0, contract)
     j = np.arange(n + 1)
-    return math.log(spot) + j * math.log(move.u) + (n - j) * math.log(move.d)
+    return move, spot, math.log(spot) + j * math.log(move.u) + (n - j) * math.log(move.d)
 
 
 def _exercise_boundary(log_values: np.ndarray, strike: float) -> int:
@@ -209,14 +216,8 @@ def binomial_price_sum(
     Binomial weights are accumulated in log space so step counts up to
     100k stay finite.
     """
-    if not method.is_binomial:
-        raise ValueError(f"{method.kind.value} is not a binomial method")
-    contract.check_steps(MAX_BINOMIAL_STEPS)
-    n = contract.steps_n
-    move = movement_params(method, params.sigma, contract.rate_r, contract.dt)
-    q = move.q1
-    spot = underlying_value(params.spot_M0, contract)
-    log_values = _terminal_log_values(spot, move, n)
+    move, _, log_values = _binomial_grid(params, contract, method)
+    n, q = contract.steps_n, move.q1
     intrinsic = np.maximum(np.exp(log_values) - contract.strike, 0.0)
 
     if q == 0.0 or q == 1.0:
@@ -246,18 +247,12 @@ def complementary_binomial_price(
     u-shifted measure and a strike leg under the pricing measure; returns
     0 when no terminal node is in the money.
     """
-    if not method.is_binomial:
-        raise ValueError(f"{method.kind.value} is not a binomial method")
-    contract.check_steps(MAX_BINOMIAL_STEPS)
-    n = contract.steps_n
-    move = movement_params(method, params.sigma, contract.rate_r, contract.dt)
-    q = move.q1
-    spot = underlying_value(params.spot_M0, contract)
-    log_values = _terminal_log_values(spot, move, n)
+    move, spot, log_values = _binomial_grid(params, contract, method)
+    n, q = contract.steps_n, move.q1
     j_star = _exercise_boundary(log_values, contract.strike)
     if j_star > n:
         return 0.0
-    growth = contract.growth_per_step()
+    growth = math.exp(contract.rate_r * contract.dt)
     q_shift = min(max(q * move.u / growth, 0.0), 1.0)
     psi_shift = _upper_tail(j_star, n, q_shift)
     psi = _upper_tail(j_star, n, q)

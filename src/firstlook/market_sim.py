@@ -59,7 +59,6 @@ class SimulationLedger:
     """Day-by-day delivery record with exact totals."""
 
     rows: tuple[LedgerRow, ...]
-    degenerate_rtb: bool = False
 
     @property
     def total_spend(self) -> float:
@@ -172,8 +171,7 @@ def simulate_options(
     degenerate = option_price >= budget_per_day
     cost_per_option = option_price + strike_cpc
     held = 0 if degenerate or cost_per_option <= 0 else math.floor(budget_per_day / cost_per_option)
-    rows = _deliver(budget_per_day, days, ctr, held, option_price, strike_cpc)
-    return SimulationLedger(rows=rows, degenerate_rtb=degenerate)
+    return SimulationLedger(rows=_deliver(budget_per_day, days, ctr, held, option_price, strike_cpc))
 
 
 @dataclass(frozen=True)

@@ -93,16 +93,25 @@ class TestPrice:
         assert code == 2
         assert "sigma0" in err
 
-    def test_computational_failure_exit_one(self, capsys):
-        # coarse grid and huge rate break the CRR probability
-        code, _, err = run(
+    @pytest.mark.parametrize(
+        "method,extra,message",
+        [
+            # coarse grid and huge rate break the CRR probability
+            ("crr", ["--expiry", "2.0", "--rate", "3.0", "--steps", "1", "--sigma", "0.05"], "q1 = "),
+            # so small a sigma rounds the moves onto each other
+            *((m, ["--expiry", "0.085", "--sigma", "1e-300"], "the moves")
+              for m in ("crr", "tian-bin", "haahtela", "boyle-trin", "tian-trin")),
+            ("tian-trin", ["--expiry", "0.085", "--sigma", "1e-9"], "the moves"),
+        ],
+    )
+    def test_computational_failure_exit_one(self, capsys, method, extra, message):
+        code, out, err = run(
             capsys,
-            ["price", "--method", "crr", "--spot", "2.0", "--strike", "0.005",
-             "--ctr", "0.3", "--expiry", "2.0", "--rate", "3.0", "--steps", "1",
-             "--sigma", "0.05"],
+            ["price", "--method", method, "--spot", "2.0", "--strike", "0.005", "--ctr", "0.3", *extra],
         )
-        assert code == 1
-        assert "q1" in err
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: invalid parameterization for {method}: {message}")
 
     @pytest.mark.parametrize(
         "method,steps",
@@ -270,6 +279,18 @@ class TestConverge:
         assert out.read_text().splitlines()[4:] == [
             "tian-trin,1,nan,nan", "tian-trin,10,nan,nan", "tian-trin,2000,nan,nan"]
 
+    def test_collapsed_moves_rows_are_nan(self, capsys, tmp_path):
+        out = tmp_path / "conv.csv"
+        code, _, err = run(
+            capsys,
+            ["converge", "--spot", "2", "--strike", "0.005", "--ctr", "0.3", "--expiry", "0.085",
+             "--sigma", "1e-300", "--n-values", "10,20", "--output", str(out)],
+        )
+        assert (code, err) == (0, "")
+        lines = out.read_text().splitlines()
+        assert lines[0] == "method,n,price,abs_error"
+        assert lines[1:] == [f"{m},{n},nan,nan" for m in cli.GBM_METHODS for n in (10, 20)]
+
     def test_empty_methods_usage_error(self, capsys, tmp_path):
         code, _, _ = run(
             capsys,
@@ -318,6 +339,26 @@ class TestDiagnose:
         )
         assert code == 1
         assert "2 observations" in err
+
+    @pytest.mark.parametrize("lags", [0, -2])
+    def test_given_lags_reach_ljung_box(self, capsys, tmp_path, lags):
+        # only a defaulted lag count blames the series length
+        path = self.write_series(tmp_path, self.gbm_prices(n=40))
+        code, out, err = run(
+            capsys,
+            ["diagnose", "--input", str(path), "--lags", str(lags),
+             "--output-dir", str(tmp_path / "o")],
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: lags must be >= 1, got {lags}\n"
+
+    def test_default_lags_need_five_ratios(self, capsys, tmp_path):
+        path = self.write_series(tmp_path, self.gbm_prices(n=5))
+        code, _, err = run(
+            capsys, ["diagnose", "--input", str(path), "--output-dir", str(tmp_path / "o")]
+        )
+        assert code == 1
+        assert err == "error: series too short for the independence test (n = 4)\n"
 
     def test_missing_input_usage_error(self, capsys, tmp_path):
         code, _, err = run(
@@ -446,6 +487,17 @@ class TestSimulate:
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and "JSON object" in err
+
+    def test_malformed_config_usage_error(self, capsys, tmp_path):
+        config = tmp_path / "bad.json"
+        config.write_text("{")
+        code, out, err = run(
+            capsys, ["simulate", "--config", str(config), "--output-dir", str(tmp_path / "o")]
+        )
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: config {config} is not valid JSON: Expecting property name")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("key", ["strke_cpc", "strike-cpc"])
     def test_config_unknown_key_rejected(self, capsys, tmp_path, key):

@@ -116,7 +116,6 @@ class TestContractValidation:
     def test_valid_contract_dt(self):
         c = make_contract(steps_n=100)
         assert c.dt == pytest.approx((31 / 365) / 100)
-        assert c.growth_per_step() == pytest.approx(math.exp(0.05 * c.dt))
 
     @pytest.mark.parametrize(
         "overrides",

@@ -69,6 +69,13 @@ class TestPriceSeries:
         s = PriceSeries.from_prices([1.0, 1.1, 1.2])
         assert s.dt == pytest.approx(1 / 365)
 
+    def test_dt_is_mean_gap(self):
+        # gaps of 1, 2, 1 and 2 days: the mean gap over the year, as one float
+        days = (0, 1, 3, 4, 6)
+        dates = tuple(date(2013, 1, 1 + d) for d in days)
+        s = PriceSeries(dates=dates, prices=(1.0, 1.1, 1.2, 1.1, 1.0))
+        assert s.dt == (6 / 4) / 365
+
     def test_single_observation_rejected(self):
         with pytest.raises(ValueError, match=">= 2"):
             PriceSeries.from_prices([1.0])
@@ -354,6 +361,15 @@ class TestEstimateSv:
         s = gbm_series(sigma=0.6, n=400, seed=9)
         vol = realized_vol(s, window=30)
         assert abs(np.median(vol) - 0.6) / 0.6 < 0.3
+
+    @pytest.mark.parametrize("window", [2, 5, 7])
+    def test_realized_vol_is_per_window_sample_std(self, window):
+        # bit for bit: each window's ddof=1 standard deviation, annualized
+        s = gbm_series(sigma=0.6, n=60, seed=13)
+        ratios = np.diff(np.log(s.values))
+        stds = [np.std(ratios[i : i + window], ddof=1) for i in range(ratios.size - window + 1)]
+        expected = np.array(stds) * (1.0 / math.sqrt(1 / 365))
+        np.testing.assert_allclose(realized_vol(s, window), expected, rtol=0, atol=0)
 
 
 class TestL2Fitness:

@@ -21,8 +21,8 @@ from firstlook.gbm_lattice import (
     convergence_report,
     lattice_price,
     movement_params,
+    _binomial_grid,
     _exercise_boundary,
-    _terminal_log_values,
     _upper_tail,
     report_to_csv,
     trinomial_price,
@@ -57,6 +57,13 @@ def assert_refused_before_allocating(pricer, c, kind):
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
+
+
+def branches(mv):
+    """(probability, scale) of each branch of a step, top branch first."""
+    if mv.m is None:
+        return [(mv.q1, mv.u), (mv.q2, mv.d)]
+    return [(mv.q1, mv.u), (mv.q2, mv.m), (mv.q3, mv.d)]
 
 
 def exercise_boundary_by_scan(log_values, strike):
@@ -96,10 +103,9 @@ class TestMovementParams:
     @pytest.mark.parametrize("sigma", [0.1, 0.5, 1.0])
     @pytest.mark.parametrize("dt", [1e-4, 1e-3, 1e-2])
     def test_probabilities_normalized(self, kind, sigma, dt):
-        mv = movement_params(method(kind), sigma, 0.05, dt)
-        assert sum(mv.probs) == pytest.approx(1.0, abs=1e-12)
-        assert all(0.0 <= q <= 1.0 for q in mv.probs)
-        scales = mv.scales
+        probs, scales = zip(*branches(movement_params(method(kind), sigma, 0.05, dt)))
+        assert sum(probs) == pytest.approx(1.0, abs=1e-12)
+        assert all(0.0 <= q <= 1.0 for q in probs)
         assert all(s > 0 for s in scales)
         assert all(a > b for a, b in zip(scales, scales[1:]))
 
@@ -116,7 +122,7 @@ class TestMovementParams:
     @pytest.mark.parametrize("sigma,rate,dt", [(0.5, 0.05, 1e-3), (0.2, 0.0, 1e-2), (1.0, 0.1, 1e-4)])
     def test_first_moment_matches_riskless_growth(self, kind, sigma, rate, dt):
         mv = movement_params(method(kind), sigma, rate, dt)
-        first = sum(q * s for q, s in zip(mv.probs, mv.scales))
+        first = sum(q * s for q, s in branches(mv))
         assert first == pytest.approx(math.exp(rate * dt), abs=1e-10)
 
     @pytest.mark.parametrize(
@@ -125,14 +131,28 @@ class TestMovementParams:
     @pytest.mark.parametrize("sigma,rate,dt", [(0.5, 0.05, 1e-3), (0.2, 0.0, 1e-2), (1.0, 0.1, 1e-4)])
     def test_second_moment_matches_lognormal(self, kind, sigma, rate, dt):
         mv = movement_params(method(kind), sigma, rate, dt)
-        second = sum(q * s * s for q, s in zip(mv.probs, mv.scales))
+        second = sum(q * s * s for q, s in branches(mv))
         target = math.exp(2 * rate * dt) * math.exp(sigma * sigma * dt)
         assert second == pytest.approx(target, abs=1e-10)
 
-    def test_invalid_probability_is_hard_error(self):
-        # riskless growth above the up move forces q1 > 1
-        with pytest.raises(ValueError, match="q1"):
-            movement_params(method(MethodKind.CRR), 0.1, 0.5, 0.5)
+    @pytest.mark.parametrize(
+        "kind,sigma,rate,dt,match",
+        [
+            # riskless growth above the up move forces q1 > 1
+            (MethodKind.CRR, 0.1, 0.5, 0.5, "q1 = "),
+            # sigma * sqrt(dt) so small that the moves round onto each other:
+            # refused before the probabilities divide by their zero gap
+            *((kind, 1e-300, rate, 0.085 / 500, "the moves")
+              for kind in (MethodKind.CRR, MethodKind.TIAN_BIN, MethodKind.HAAHTELA_BIN,
+                           MethodKind.BOYLE_TRIN, MethodKind.TIAN_TRIN)
+              for rate in (0.05, 0.0)),
+            (MethodKind.TIAN_BIN, 1e-9, 0.0, 0.085 / 500, "the moves"),
+            (MethodKind.TIAN_TRIN, 1e-9, 0.05, 0.085 / 500, "the moves"),
+        ],
+    )
+    def test_invalid_parameterization_is_hard_error(self, kind, sigma, rate, dt, match):
+        with pytest.raises(ValueError, match=f"^invalid parameterization for {kind.value}: {match}"):
+            movement_params(method(kind), sigma, rate, dt)
 
     def test_boyle_small_stretch_rejected_by_probability_check(self):
         with pytest.raises(ValueError, match="invalid parameterization"):
@@ -193,6 +213,18 @@ class TestBinomialPricers:
             expected, rel=1e-12
         )
 
+    def test_one_step_complementary_route_by_hand(self):
+        # one step, only the up node in the money: the underlying leg weighs the
+        # up branch under the measure shifted by u over the riskless growth e^(r dt)
+        c = contract(n=1, strike=0.0067)
+        mv = movement_params(method(MethodKind.CRR), 0.5, c.rate_r, c.dt)
+        spot = per_click_value(2.0, 0.3)
+        assert spot * mv.d < c.strike < spot * mv.u
+        q_shift = mv.q1 * mv.u / math.exp(c.rate_r * c.dt)
+        expected = spot * q_shift - c.strike * math.exp(-c.rate_r * c.expiry_T) * mv.q1
+        got = complementary_binomial_price(PARAMS, c, method(MethodKind.CRR))
+        assert got == pytest.approx(expected, rel=1e-13)
+
     def test_strike_above_whole_lattice_prices_zero(self):
         c = contract(n=50, strike=1e9)
         assert complementary_binomial_price(PARAMS, c, method(MethodKind.CRR)) == 0.0
@@ -214,8 +246,10 @@ class TestExerciseBoundary:
             n = int(rng.integers(1, 400))
             c = contract(n=n)
             kind = [MethodKind.CRR, MethodKind.TIAN_BIN, MethodKind.HAAHTELA_BIN][int(rng.integers(3))]
-            mv = movement_params(method(kind), float(rng.uniform(0.05, 1.5)), 0.05, c.dt)
-            log_values = _terminal_log_values(float(rng.uniform(0.001, 0.1)), mv, n)
+            sigma = float(rng.uniform(0.05, 1.5))
+            # spot_M0 / (1000 * ctr) puts the per-click spot in [0.001, 0.1]
+            p = GbmParams(spot_M0=float(rng.uniform(0.3, 30.0)), sigma=sigma)
+            _, _, log_values = _binomial_grid(p, c, method(kind))
             node = float(np.exp(log_values[int(rng.integers(n + 1))]))
             near = (np.nextafter(node, 0.0), node, np.nextafter(node, np.inf))
             for strike in (0.0, *near, float(rng.uniform(0.0, 0.2)), 1e9):
