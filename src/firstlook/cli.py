@@ -16,13 +16,10 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import diagnostics, gbm_lattice, market_sim, montecarlo, sv_lattice
-from .contracts import GbmParams, OptionContract, StrikeBasis, SvParams
+from .contracts import DAYS_PER_YEAR, GbmParams, OptionContract, StrikeBasis, SvParams
 from .output import json_dump, write_table
 
 DEFAULT_SEED = 42
-# the simulate settings that neither a flag nor the --config file has to give
-SIM_DEFAULTS = {"ctr": 0.03, "sell_ratio": 0.2, "seed": DEFAULT_SEED, "rate": 0.05,
-                "supply": 8000, "days": 30, "spot_cpm": 1.0}
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
@@ -147,18 +144,18 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--config", type=Path, help="JSON scenario config; flags override it")
     sim.add_argument("--market", type=Path, help="date,price CSV of daily average prices")
     sim.add_argument("--scenario", choices=["bull", "bear"], help="synthetic market flavour")
-    sim.add_argument("--days", type=int, help="synthetic market length")
-    sim.add_argument("--spot-cpm", type=float, help="synthetic market starting CPM")
+    sim.add_argument("--days", type=int, default=30, help="synthetic market length")
+    sim.add_argument("--spot-cpm", type=float, default=1.0, help="synthetic market starting CPM")
     sim.add_argument("--sigma", type=float, help="volatility for pricing and synthesis")
     sim.add_argument("--drift", type=float, help="annual drift of the synthetic market")
-    sim.add_argument("--supply", type=int, help="base daily impressions")
+    sim.add_argument("--supply", type=int, default=8000, help="base daily impressions")
     sim.add_argument("--budget", type=float, help="advertiser daily budget")
     sim.add_argument("--strike-cpc", type=float, help="per-click strike")
-    sim.add_argument("--ctr", type=float, help="click-through rate")
-    sim.add_argument("--sell-ratio", type=float, help="fraction of supply pre-sold")
+    sim.add_argument("--ctr", type=float, default=0.03, help="click-through rate")
+    sim.add_argument("--sell-ratio", type=float, default=0.2, help="fraction of supply pre-sold")
     sim.add_argument("--option-price", type=float, help="override the computed premium")
-    sim.add_argument("--rate", type=float, help="risk-free rate for premium pricing")
-    sim.add_argument("--seed", type=int, help="synthetic market seed")
+    sim.add_argument("--rate", type=float, default=0.05, help="risk-free rate for premium pricing")
+    sim.add_argument("--seed", type=int, default=DEFAULT_SEED, help="synthetic market seed")
     sim.add_argument("--output-dir", type=Path, required=True)
 
     return parser
@@ -299,89 +296,74 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK if contained else EXIT_FAILURE
 
 
-def _sim_settings(args: argparse.Namespace) -> dict:
-    """SIM_DEFAULTS, under the --config scenario (keyed by flag destination), under the flags."""
+def _config_argv(args: argparse.Namespace, argv: list[str]) -> list[str]:
+    """``argv`` with the --config file's settings (keyed by flag destination) as
+    flags right after the subcommand, so that argparse types and checks them
+    and the explicit flags, parsed last, override them."""
     keys = set(vars(args)) - {"command", "config", "output_dir"}
-    config = {}
-    if args.config is not None:
-        if not args.config.exists():
-            raise UsageError(f"config file not found: {args.config}")
-        try:
-            config = json.loads(args.config.read_text())
-        except ValueError as exc:
-            raise UsageError(f"config {args.config} is not valid JSON: {exc}") from None
-        if not isinstance(config, dict):
-            raise UsageError(f"config {args.config} must hold a JSON object")
-        unknown = sorted(set(config) - keys)
-        if unknown:
-            raise UsageError(f"unknown config keys in {args.config}: {', '.join(unknown)}")
-    flags = {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
-    return {**SIM_DEFAULTS, **config, **flags}
+    if not args.config.exists():
+        raise UsageError(f"config file not found: {args.config}")
+    try:
+        config = json.loads(args.config.read_text())
+    except ValueError as exc:
+        raise UsageError(f"config {args.config} is not valid JSON: {exc}") from None
+    if not isinstance(config, dict):
+        raise UsageError(f"config {args.config} must hold a JSON object")
+    unknown = sorted(set(config) - keys)
+    if unknown:
+        raise UsageError(f"unknown config keys in {args.config}: {', '.join(unknown)}")
+    for key, value in config.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+            raise UsageError(f"config {args.config}: {key} must be a JSON number or string")
+    flags = [f"--{key.replace('_', '-')}={value}" for key, value in config.items()]
+    return [argv[0], *flags, *argv[1:]]
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    settings = _sim_settings(args)
-
-    budget, strike_cpc = settings.get("budget"), settings.get("strike_cpc")
-    ctr = float(settings["ctr"])
-    sell_ratio = float(settings["sell_ratio"])
-    seed = int(settings["seed"])
-    rate = float(settings["rate"])
-    supply = int(settings["supply"])
-    if budget is None:
+    if args.budget is None:
         raise UsageError("--budget is required (flag or config)")
-    if strike_cpc is None:
+    if args.strike_cpc is None:
         raise UsageError("--strike-cpc is required (flag or config)")
-    budget = float(budget)
-    strike_cpc = float(strike_cpc)
 
-    market_path = settings.get("market")
-    scenario = settings.get("scenario")
-    sigma = settings.get("sigma")
-
-    if market_path is not None:
-        market_path = Path(market_path)
-        if not market_path.exists():
-            raise UsageError(f"market file not found: {market_path}")
-        series = diagnostics.PriceSeries.from_csv(market_path)
+    sigma = args.sigma
+    if args.market is not None:
+        if not args.market.exists():
+            raise UsageError(f"market file not found: {args.market}")
+        series = diagnostics.PriceSeries.from_csv(args.market)
         spot = series.prices[0]
         if sigma is None:
             sigma = diagnostics.estimate_gbm(series).sigma
         days = [
-            market_sim.MarketDay(day=d, avg_cpm=p, supply=supply)
+            market_sim.MarketDay(day=d, avg_cpm=p, supply=args.supply)
             for d, p in zip(series.dates[1:], series.prices[1:])
         ]
-        horizon_days = len(days)
-    elif scenario is not None:
-        n_days = int(settings["days"])
-        spot = float(settings["spot_cpm"])
-        sigma = float(sigma if sigma is not None else 0.5)
-        drift = settings.get("drift")
+    elif args.scenario is not None:
+        spot = args.spot_cpm
+        sigma = sigma if sigma is not None else 0.5
+        drift = args.drift
         if drift is None:
-            drift = 3.0 if scenario == "bull" else -3.0
+            drift = 3.0 if args.scenario == "bull" else -3.0
         sv = SvParams(spot_M0=spot, sigma0=sigma, kappa=0.0, theta=sigma, delta=0.0)
-        days = market_sim.synthetic_market(sv, float(drift), n_days, supply, seed)
-        horizon_days = n_days
+        days = market_sim.synthetic_market(sv, drift, args.days, args.supply, args.seed)
     else:
         raise UsageError("either --market or --scenario is required")
 
-    option_price = settings.get("option_price")
+    option_price = args.option_price
     if option_price is None:
         contract = OptionContract(
-            strike=strike_cpc,
-            expiry_T=horizon_days / 365.0,
-            rate_r=rate,
-            steps_n=max(horizon_days, 1),
-            ctr=ctr,
+            strike=args.strike_cpc,
+            expiry_T=len(days) / DAYS_PER_YEAR,
+            rate_r=args.rate,
+            steps_n=max(len(days), 1),
+            ctr=args.ctr,
         )
-        option_price = gbm_lattice.closed_form_price(
-            GbmParams(spot_M0=spot, sigma=float(sigma)), contract
-        )
-    option_price = float(option_price)
+        option_price = gbm_lattice.closed_form_price(GbmParams(spot_M0=spot, sigma=sigma), contract)
 
-    rtb = market_sim.simulate_rtb(budget, days, ctr)
-    options = market_sim.simulate_options(budget, days, ctr, option_price, strike_cpc)
-    revenue = market_sim.revenue_analysis(days, ctr, sell_ratio, option_price, strike_cpc)
+    rtb = market_sim.simulate_rtb(args.budget, days, args.ctr)
+    options = market_sim.simulate_options(args.budget, days, args.ctr, option_price, args.strike_cpc)
+    revenue = market_sim.revenue_analysis(
+        days, args.ctr, args.sell_ratio, option_price, args.strike_cpc
+    )
 
     out = args.output_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -416,13 +398,15 @@ _DISPATCH = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "config", None) is not None:
+            args = parser.parse_args(_config_argv(args, argv))
+        return _DISPATCH[args.command](args)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_USAGE
-    try:
-        return _DISPATCH[args.command](args)
     except (UsageError, FileNotFoundError, montecarlo.PathCountError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

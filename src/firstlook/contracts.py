@@ -13,6 +13,8 @@ from enum import Enum
 
 import numpy as np
 
+DAYS_PER_YEAR = 365.0
+
 
 class StrikeBasis(Enum):
     """Quote basis of an option strike."""

@@ -19,10 +19,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import chdtrc
 
 from . import montecarlo
-from .contracts import GbmParams, SvParams
+from .contracts import DAYS_PER_YEAR, GbmParams, SvParams
 from .montecarlo import Scheme
 
-DAYS_PER_YEAR = 365.0
 # moving-average width of the smoothed path distance in ``l2_fitness``
 SMOOTH_WINDOW = 5
 

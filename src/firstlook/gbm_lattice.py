@@ -186,6 +186,13 @@ def _binomial_grid(
     return move, spot, math.log(spot) + j * math.log(move.u) + (n - j) * math.log(move.d)
 
 
+def _check_overflow(log_values: np.ndarray) -> None:
+    # np.exp would turn an overflow into inf and a RuntimeWarning, where math.exp raises
+    top = float(log_values.max())
+    if top > LOG_FLOAT_MAX:
+        raise OverflowError(f"terminal value exp({top:.6g}) overflows a float")
+
+
 def _exercise_boundary(log_values: np.ndarray, strike: float) -> int:
     """Smallest node index whose terminal value reaches the strike.
 
@@ -217,6 +224,7 @@ def binomial_price_sum(
     100k stay finite.
     """
     move, _, log_values = _binomial_grid(params, contract, method)
+    _check_overflow(log_values)
     n, q = contract.steps_n, move.q1
     intrinsic = np.maximum(np.exp(log_values) - contract.strike, 0.0)
 
@@ -276,11 +284,7 @@ def trinomial_price(
     spot = underlying_value(params.spot_M0, contract)
     j = np.arange(-n, n + 1)
     log_terminal = math.log(spot) + n * math.log(move.m) + j * math.log(move.u / move.m)
-    # np.exp would turn an overflow into inf and a RuntimeWarning, where
-    # math.exp raises
-    top = float(log_terminal.max())
-    if top > LOG_FLOAT_MAX:
-        raise OverflowError(f"terminal value exp({top:.6g}) overflows a float")
+    _check_overflow(log_terminal)
     values = np.maximum(np.exp(log_terminal) - contract.strike, 0.0)
     disc = discount(1.0, contract.rate_r, contract.dt)
     q1, q2, q3 = move.q1, move.q2, move.q3

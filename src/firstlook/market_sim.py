@@ -18,7 +18,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from . import montecarlo
-from .contracts import SvParams, per_click_value, require_finite
+from .contracts import DAYS_PER_YEAR, SvParams, per_click_value, require_finite
 from .montecarlo import Scheme
 from .output import write_table
 
@@ -89,9 +89,9 @@ def _deliver(
     budget: float,
     days: Sequence[MarketDay],
     ctr: float,
-    held: int = 0,
-    option_price: float = 0.0,
-    strike_cpc: float = 0.0,
+    held: int,
+    option_price: float,
+    strike_cpc: float,
 ) -> tuple[LedgerRow, ...]:
     """Ledger rows of ``held`` options bought out of each day's budget.
 
@@ -140,7 +140,7 @@ def simulate_rtb(
         raise ValueError(f"budget_per_day must be >= 0, got {budget_per_day}")
     if not 0 < ctr <= 1:
         raise ValueError(f"ctr must be in (0, 1], got {ctr}")
-    return SimulationLedger(rows=_deliver(budget_per_day, days, ctr))
+    return SimulationLedger(rows=_deliver(budget_per_day, days, ctr, 0, 0.0, 0.0))
 
 
 def simulate_options(
@@ -273,7 +273,7 @@ def synthetic_market(
         raise ValueError(f"base_supply must be >= 1, got {base_supply}")
     with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 after an overflow
         path = montecarlo.sample_paths(
-            sv, mu, 1.0 / 365.0, n_days, 1, Scheme.EULER, seed
+            sv, mu, 1.0 / DAYS_PER_YEAR, n_days, 1, Scheme.EULER, seed
         )[0]
     bad = np.flatnonzero(~(np.isfinite(path) & (path > 0)))
     if bad.size:

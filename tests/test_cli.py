@@ -224,6 +224,20 @@ class TestPrice:
         assert err.count("\n") == 1 and "inputs overflowed" in err
 
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("method", ["crr", "tian-bin", "haahtela"])
+    def test_binomial_sum_overflow_exit_one(self, capsys, method):
+        # the top terminal node exceeds the float range; the sum would give NaN
+        code, out, err = run(
+            capsys,
+            ["price", "--method", method, "--spot", "2", "--strike", "0.005", "--ctr", "0.3",
+             "--expiry", "1", "--rate", "0.05", "--sigma", "20", "--steps", "4000"],
+        )
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and "inputs overflowed" in err
+
+
 class TestConverge:
     def test_full_method_grid(self, capsys, tmp_path):
         out = tmp_path / "conv.csv"
@@ -278,6 +292,19 @@ class TestConverge:
         assert (code, err) == (0, "")
         assert out.read_text().splitlines()[4:] == [
             "tian-trin,1,nan,nan", "tian-trin,10,nan,nan", "tian-trin,2000,nan,nan"]
+
+    @pytest.mark.filterwarnings("error")
+    def test_binomial_sum_overflow_rows_are_nan(self, capsys, tmp_path):
+        out = tmp_path / "conv.csv"
+        code, _, err = run(
+            capsys,
+            ["converge", "--spot", "2", "--strike", "0.005", "--ctr", "0.3", "--expiry", "1",
+             "--sigma", "20", "--methods", "crr", "--n-values", "100,4000", "--output", str(out)],
+        )
+        assert (code, err) == (0, "")
+        lines = out.read_text().splitlines()
+        assert lines[1].startswith("crr,100,0.00666666666667,")
+        assert lines[2:] == ["crr,4000,nan,nan"]
 
     def test_collapsed_moves_rows_are_nan(self, capsys, tmp_path):
         out = tmp_path / "conv.csv"
@@ -509,6 +536,45 @@ class TestSimulate:
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and key in err
+
+    def test_flag_overrides_config(self, capsys, tmp_path):
+        config = tmp_path / "scenario.json"
+        config.write_text(json.dumps({"scenario": "bull", "budget": 5.0, "seed": 11}))
+        from_file = run(capsys, ["simulate", "--config", str(config), "--strike-cpc", "0.03",
+                                 "--seed", "3", "--output-dir", str(tmp_path / "a")])
+        from_flags = run(capsys, ["simulate", "--scenario", "bull", "--budget", "5.0",
+                                  "--strike-cpc", "0.03", "--seed", "3",
+                                  "--output-dir", str(tmp_path / "b")])
+        assert from_file[0] == 0 and from_file == from_flags
+        for name in ("rtb.csv", "options.csv", "revenue.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "setting,flags",
+        [
+            ({"ctr": None}, None),
+            ({"budget": True}, None),
+            ({"days": [30]}, None),
+            ({"days": {"n": 30}}, None),
+            ({"scenario": "sideways"}, ["--scenario", "sideways"]),
+            ({"days": 30.5}, ["--days", "30.5"]),
+        ],
+        ids=["null", "boolean", "list", "object", "bad-choice", "fractional-int"],
+    )
+    def test_config_value_refused_like_its_flag(self, capsys, tmp_path, setting, flags):
+        # a file value is typed and checked as the same flag; a non-scalar names the key
+        config = tmp_path / "scenario.json"
+        config.write_text(json.dumps({"scenario": "bull", "budget": 5, "strike_cpc": 0.03, **setting}))
+        out_dir = tmp_path / "o"
+        code, out, err = run(capsys, ["simulate", "--config", str(config), "--output-dir", str(out_dir)])
+        assert (code, out) == (2, "")
+        assert not out_dir.exists()
+        if flags is None:
+            assert err.count("\n") == 1
+            assert err.startswith(f"error: config {config}: {next(iter(setting))} must be")
+        else:
+            argv = ["simulate", "--scenario", "bull", "--budget", "5", "--strike-cpc", "0.03", *flags]
+            assert run(capsys, [*argv, "--output-dir", str(out_dir)]) == (code, out, err)
 
     @pytest.mark.parametrize(
         "extra,message",
