@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import diagnostics, gbm_lattice, market_sim, montecarlo, sv_lattice
-from .contracts import DAYS_PER_YEAR, GbmParams, OptionContract, StrikeBasis, SvParams
+from .contracts import DAYS_PER_YEAR, SV_PARAMS, GbmParams, OptionContract, StrikeBasis, SvParams
 from .output import json_dump, write_table
 
 DEFAULT_SEED = 42
@@ -51,10 +51,10 @@ def _add_contract_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_sv_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--sigma0", type=float, help="initial volatility")
-    p.add_argument("--kappa", type=float, help="mean-reversion speed")
-    p.add_argument("--theta", type=float, help="long-run volatility")
-    p.add_argument("--delta", type=float, help="volatility of volatility")
+    helps = ("initial volatility", "mean-reversion speed", "long-run volatility",
+             "volatility of volatility")
+    for name, text in zip(SV_PARAMS, helps):
+        p.add_argument(f"--{name}", type=float, help=text)
 
 
 def _contract(args: argparse.Namespace) -> OptionContract:
@@ -69,18 +69,18 @@ def _contract(args: argparse.Namespace) -> OptionContract:
 
 
 def _sv_params(args: argparse.Namespace) -> SvParams:
-    missing = [
-        name for name in ("sigma0", "kappa", "theta", "delta") if getattr(args, name) is None
-    ]
+    missing = [name for name in SV_PARAMS if getattr(args, name) is None]
     if missing:
         raise UsageError(f"missing required SV parameters: {', '.join('--' + m for m in missing)}")
-    return SvParams(
-        spot_M0=args.spot,
-        sigma0=args.sigma0,
-        kappa=args.kappa,
-        theta=args.theta,
-        delta=args.delta,
-    )
+    return SvParams(spot_M0=args.spot, **{name: getattr(args, name) for name in SV_PARAMS})
+
+
+def _lattice_method(name: str, stretch: float) -> gbm_lattice.LatticeMethod:
+    """The named GBM lattice; an unknown name or a bad stretch is a usage error."""
+    try:
+        return gbm_lattice.LatticeMethod(gbm_lattice.MethodKind(name.strip()), stretch)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -128,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     val = sub.add_parser("validate", help="check the SV lattice against Monte Carlo intervals")
     _add_contract_args(val)
     _add_sv_args(val)
-    val.add_argument("--param", choices=["sigma0", "kappa", "theta", "delta"], required=True)
+    val.add_argument("--param", choices=SV_PARAMS, required=True)
     val.add_argument("--lo", type=float, required=True)
     val.add_argument("--hi", type=float, required=True)
     val.add_argument("--points", type=int, required=True)
@@ -178,11 +178,11 @@ def cmd_price(args: argparse.Namespace) -> int:
         if method == CLOSED_METHOD:
             report["price"] = gbm_lattice.closed_form_price(params, contract)
         else:
-            lm = gbm_lattice.LatticeMethod(gbm_lattice.MethodKind(method), args.stretch)
+            lm = _lattice_method(method, args.stretch)
             report["price"] = gbm_lattice.lattice_price(params, contract, lm)
     else:
         sv = _sv_params(args)
-        inputs.update(sigma0=sv.sigma0, kappa=sv.kappa, theta=sv.theta, delta=sv.delta)
+        inputs.update({name: getattr(sv, name) for name in SV_PARAMS})
         if method == SV_METHOD:
             lattice = sv_lattice.build_censored_lattice(sv, contract)
             report["price"] = sv_lattice.price_sv_option(lattice).price
@@ -202,16 +202,9 @@ def cmd_price(args: argparse.Namespace) -> int:
 
 
 def cmd_converge(args: argparse.Namespace) -> int:
-    names = [m for m in args.methods.split(",") if m.strip()]
-    if not names:
+    methods = [_lattice_method(m, args.stretch) for m in args.methods.split(",") if m.strip()]
+    if not methods:
         raise UsageError("--methods must name at least one lattice method")
-    try:
-        methods = [
-            gbm_lattice.LatticeMethod(gbm_lattice.MethodKind(name.strip()), args.stretch)
-            for name in names
-        ]
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
     try:
         n_values = [int(v) for v in args.n_values.split(",") if v.strip()]
     except ValueError as exc:
@@ -231,9 +224,6 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
         raise UsageError(f"input file not found: {args.input}")
     series = diagnostics.PriceSeries.from_csv(args.input)
     verdict = diagnostics.gbm_test(series, alpha=args.alpha, lags=args.lags)
-    out = args.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-
     payload: dict = {
         "observations": len(series),
         "alpha": args.alpha,
@@ -250,10 +240,11 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
         payload["gbm_estimate"] = None
     try:
         sv = diagnostics.estimate_sv(series, window=args.window)
-        payload["sv_estimate"] = {
-            "sigma0": sv.sigma0, "kappa": sv.kappa, "theta": sv.theta, "delta": sv.delta
-        }
+        payload["sv_estimate"] = {name: getattr(sv, name) for name in SV_PARAMS}
     except ValueError:
+        # a series too short for the window reports null; a window too narrow for any fails
+        if args.window < diagnostics.MIN_SV_WINDOW:
+            raise
         payload["sv_estimate"] = None
 
     ratios = diagnostics.log_ratios(series)
@@ -267,6 +258,8 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
         "qq.csv": (["theoretical", "sample"], zip(ndtri(grid), standardized)),
         "hist.csv": (["bin_left", "bin_right", "count"], zip(edges[:-1], edges[1:], counts)),
     }
+    out = args.output_dir
+    out.mkdir(parents=True, exist_ok=True)
     for name, (header, rows) in tables.items():
         with open(out / name, "w", newline="") as fh:
             write_table(fh, header, rows)
@@ -343,7 +336,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         drift = args.drift
         if drift is None:
             drift = 3.0 if args.scenario == "bull" else -3.0
-        sv = SvParams(spot_M0=spot, sigma0=sigma, kappa=0.0, theta=sigma, delta=0.0)
+        sv = GbmParams(spot_M0=spot, sigma=sigma).as_sv()
         days = market_sim.synthetic_market(sv, drift, args.days, args.supply, args.seed)
     else:
         raise UsageError("either --market or --scenario is required")

@@ -8,7 +8,7 @@ strikes are never compared on different scales.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -40,7 +40,7 @@ class OptionContract:
     expiry_T: float
     rate_r: float
     steps_n: int
-    ctr: float = 0.03
+    ctr: float
     strike_basis: StrikeBasis = StrikeBasis.PER_CLICK
 
     def __post_init__(self) -> None:
@@ -89,6 +89,11 @@ class GbmParams:
         if self.sigma < 0:
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
 
+    def as_sv(self) -> SvParams:
+        """The SV model whose volatility stays at sigma: kappa = delta = 0."""
+        sigma0 = max(self.sigma, 1e-12)  # SvParams needs sigma0 > 0
+        return SvParams(self.spot_M0, sigma0=sigma0, kappa=0.0, theta=self.sigma, delta=0.0)
+
 
 @dataclass(frozen=True)
 class SvParams:
@@ -105,14 +110,18 @@ class SvParams:
     delta: float
 
     def __post_init__(self) -> None:
-        for name in ("spot_M0", "sigma0", "kappa", "theta", "delta"):
-            require_finite(name, getattr(self, name))
+        for f in fields(self):
+            require_finite(f.name, getattr(self, f.name))
         if self.spot_M0 <= 0:
             raise ValueError(f"spot_M0 must be > 0, got {self.spot_M0}")
         if self.sigma0 <= 0:
             raise ValueError(f"sigma0 must be > 0, got {self.sigma0}")
         if self.kappa < 0 or self.theta < 0 or self.delta < 0:
             raise ValueError("kappa, theta and delta must all be >= 0")
+
+
+# the SV model's parameters after the spot, in declaration order
+SV_PARAMS = tuple(f.name for f in fields(SvParams))[1:]
 
 
 def per_click_value(cpm: float, ctr: float):

@@ -24,6 +24,8 @@ from .montecarlo import Scheme
 
 # moving-average width of the smoothed path distance in ``l2_fitness``
 SMOOTH_WINDOW = 5
+# narrowest realized-volatility window ``estimate_sv`` regresses on
+MIN_SV_WINDOW = 5
 
 
 @dataclass(frozen=True)
@@ -229,8 +231,8 @@ def estimate_sv(series: PriceSeries, window: int = 7) -> SvParams:
     Estimates are floored at zero; the proxy is noisy, so expect wide
     error bars.
     """
-    if window < 5:
-        raise ValueError(f"window must be >= 5, got {window}")
+    if window < MIN_SV_WINDOW:
+        raise ValueError(f"window must be >= {MIN_SV_WINDOW}, got {window}")
     if len(series) < 3 * window:
         raise ValueError(f"need >= {3 * window} observations, got {len(series)}")
     vol = realized_vol(series, window)
@@ -281,9 +283,7 @@ class FitnessComparison:
     sv_smoothed: float
 
 
-def fitness_comparison(
-    actual: PriceSeries, n_instances: int = 15, seed: int = 42
-) -> FitnessComparison:
+def fitness_comparison(actual: PriceSeries, n_instances: int, seed: int) -> FitnessComparison:
     """Fit both models to ``actual`` and compare simulated-path distances.
 
     Each model is fitted on the whole series, re-simulated from the first
@@ -297,15 +297,11 @@ def fitness_comparison(
     steps = len(actual) - 1
     dt = actual.dt
     spot = actual.prices[0]
-    gbm_as_sv = SvParams(
-        spot_M0=spot, sigma0=max(gbm.sigma, 1e-12), kappa=0.0, theta=gbm.sigma, delta=0.0
-    )
-    sv_from = replace(sv, spot_M0=spot)
     gbm_paths = montecarlo.sample_paths(
-        gbm_as_sv, gbm.mu, dt, steps, n_instances, Scheme.EULER, seed
+        replace(gbm, spot_M0=spot).as_sv(), gbm.mu, dt, steps, n_instances, Scheme.EULER, seed
     )
     sv_paths = montecarlo.sample_paths(
-        sv_from, gbm.mu, dt, steps, n_instances, Scheme.EULER, seed + 1
+        replace(sv, spot_M0=spot), gbm.mu, dt, steps, n_instances, Scheme.EULER, seed + 1
     )
     target = actual.values
 

@@ -343,7 +343,7 @@ class ConvergenceRow:
     n: int
     price: float
     abs_error: float
-    failure: str | None = None
+    failure: str | None
 
 
 def convergence_report(
@@ -374,7 +374,7 @@ def convergence_report(
                 )
                 continue
             rows.append(
-                ConvergenceRow(method.kind.value, int(n), price, abs(price - benchmark))
+                ConvergenceRow(method.kind.value, int(n), price, abs(price - benchmark), None)
             )
     return rows
 

@@ -131,6 +131,16 @@ def _deliver(
     return tuple(rows)
 
 
+def _check_terms(ctr: float, option_price: float, strike_cpc: float) -> None:
+    """Refuse a click-through rate, premium or per-click strike that no option can carry."""
+    require_finite("option_price", option_price)
+    require_finite("strike_cpc", strike_cpc)
+    if not 0 < ctr <= 1:
+        raise ValueError(f"ctr must be in (0, 1], got {ctr}")
+    if option_price < 0 or strike_cpc < 0:
+        raise ValueError("option_price and strike_cpc must be >= 0")
+
+
 def simulate_rtb(
     budget_per_day: float, days: Sequence[MarketDay], ctr: float
 ) -> SimulationLedger:
@@ -158,14 +168,9 @@ def simulate_options(
     leftover budget goes to the spot market either way.
     """
     require_finite("budget_per_day", budget_per_day)
-    require_finite("option_price", option_price)
-    require_finite("strike_cpc", strike_cpc)
     if budget_per_day <= 0:
         raise ValueError(f"budget_per_day must be > 0, got {budget_per_day}")
-    if not 0 < ctr <= 1:
-        raise ValueError(f"ctr must be in (0, 1], got {ctr}")
-    if option_price < 0 or strike_cpc < 0:
-        raise ValueError("option_price and strike_cpc must be >= 0")
+    _check_terms(ctr, option_price, strike_cpc)
 
     # a premium at or above the budget buys nothing: spot-only delivery
     degenerate = option_price >= budget_per_day
@@ -208,12 +213,9 @@ def revenue_analysis(
     options earn the strike while the rest of the supply clears at the
     spot CPM. Premium income is attributed to the day it covers.
     """
-    require_finite("option_price", option_price)
-    require_finite("strike_cpc", strike_cpc)
+    _check_terms(ctr, option_price, strike_cpc)
     if not 0 <= sell_ratio <= 1:
         raise ValueError(f"sell_ratio must be in [0, 1], got {sell_ratio}")
-    if not 0 < ctr <= 1:
-        raise ValueError(f"ctr must be in (0, 1], got {ctr}")
     series = []
     for day in days:
         sold_impressions = int(math.floor(day.supply * sell_ratio))

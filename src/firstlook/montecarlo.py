@@ -15,7 +15,7 @@ from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .contracts import OptionContract, SvParams, discount, payoff
+from .contracts import SV_PARAMS, OptionContract, SvParams, discount, payoff
 from .output import write_table
 from .sv_lattice import build_censored_lattice, price_sv_option
 
@@ -52,7 +52,7 @@ class McConfig:
     scheme: Scheme
     n_paths: int
     steps: int
-    seed: int = 42
+    seed: int
 
     def __post_init__(self) -> None:
         if self.steps < 1:
@@ -139,7 +139,7 @@ def _walk_paths(
     n_paths: int,
     scheme: Scheme,
     seed: int,
-    paired: bool = False,
+    paired: bool,
 ) -> Iterator[np.ndarray]:
     """Yield the (points, n_paths) prices at the spot and after each step.
 
@@ -204,7 +204,7 @@ def sample_paths(
     The paths are independent: they are not drawn in antithetic pairs.
     """
     out = np.empty((n_paths, steps + 1))
-    for i, m in enumerate(_walk_paths((sv,), drift, dt, steps, n_paths, scheme, seed)):
+    for i, m in enumerate(_walk_paths((sv,), drift, dt, steps, n_paths, scheme, seed, False)):
         out[:, i] = m[0]
     return out
 
@@ -294,7 +294,7 @@ def containment_sweep(
     ``SWEEP_GROUP_PATHS // n_paths`` points (one if that is zero), each
     equal to its own ``mc_price``.
     """
-    if param not in ("sigma0", "kappa", "theta", "delta"):
+    if param not in SV_PARAMS:
         raise ValueError(f"unknown sweep parameter {param!r}")
     if not values:
         raise ValueError("sweep values must not be empty")

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -10,6 +11,7 @@ import pytest
 
 from firstlook import cli, gbm_lattice, montecarlo, sv_lattice
 from firstlook.cli import main
+from firstlook.contracts import DAYS_PER_YEAR, SV_PARAMS, GbmParams, OptionContract
 
 ITM_FLAGS = [
     "--spot", "2.0", "--strike", "0.005", "--ctr", "0.3",
@@ -326,6 +328,21 @@ class TestConverge:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["price", "--method", "kr-trin"], ["converge", "--methods", "kr-trin", "--n-values", "10"]],
+        ids=["price", "converge"],
+    )
+    def test_bad_stretch_usage_error_from_both_commands(self, capsys, tmp_path, argv):
+        out_file = tmp_path / "out"
+        code, out, err = run(
+            capsys,
+            [*argv, *ITM_FLAGS, "--sigma", "0.5", "--stretch", "0.5", "--output", str(out_file)],
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: stretch_lambda must be >= 1 for kr-trin, got 0.5\n"
+        assert not out_file.exists()
+
 
 class TestDiagnose:
     def write_series(self, tmp_path, prices):
@@ -379,6 +396,35 @@ class TestDiagnose:
         assert (code, out) == (1, "")
         assert err == f"error: lags must be >= 1, got {lags}\n"
 
+    @pytest.mark.parametrize("window", [0, 1, 4])
+    def test_window_below_minimum_fails_before_writing(self, capsys, tmp_path, window):
+        path = self.write_series(tmp_path, self.gbm_prices())
+        out_dir = tmp_path / "o"
+        code, out, err = run(
+            capsys,
+            ["diagnose", "--input", str(path), "--window", str(window),
+             "--output-dir", str(out_dir)],
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: window must be >= 5, got {window}\n"
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("window,estimated", [(5, True), (25, False)])
+    def test_valid_window_estimates_or_reports_null(self, capsys, tmp_path, window, estimated):
+        # 60 prices fit a window of 5 but are too short for one of 25
+        path = self.write_series(tmp_path, self.gbm_prices())
+        out_dir = tmp_path / "o"
+        code, _, _ = run(
+            capsys,
+            ["diagnose", "--input", str(path), "--window", str(window),
+             "--output-dir", str(out_dir)],
+        )
+        assert code == 0
+        estimate = json.loads((out_dir / "verdict.json").read_text())["sv_estimate"]
+        assert (estimate is not None) == estimated
+        if estimated:
+            assert tuple(estimate) == SV_PARAMS
+
     def test_default_lags_need_five_ratios(self, capsys, tmp_path):
         path = self.write_series(tmp_path, self.gbm_prices(n=5))
         code, _, err = run(
@@ -428,6 +474,13 @@ class TestValidate:
             assert code == 0
         else:
             assert code == 1
+
+    def test_param_choices_are_the_sv_parameters(self):
+        commands = next(
+            a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        param = next(a for a in commands.choices["validate"]._actions if a.dest == "param")
+        assert tuple(param.choices) == SV_PARAMS
 
     def test_zero_points_usage_error(self, capsys, tmp_path):
         code, _, _ = run(
@@ -605,8 +658,10 @@ class TestSimulate:
             (["--option-price", "inf"], "option_price must be finite, got inf"),
             (["--option-price", "nan"], "option_price must be finite, got nan"),
             (["--option-price", "0.01", "--strike-cpc", "inf"], "strike_cpc must be finite, got inf"),
+            (["--sigma", "-1"], "error: sigma must be >= 0, got -1.0"),
         ],
-        ids=["underflow", "budget-inf", "budget-nan", "premium-inf", "premium-nan", "strike-inf"],
+        ids=["underflow", "budget-inf", "budget-nan", "premium-inf", "premium-nan", "strike-inf",
+             "sigma-negative"],
     )
     def test_bad_input_one_line_exit_one(self, capsys, tmp_path, extra, message):
         out_dir = tmp_path / "sim"
@@ -615,6 +670,18 @@ class TestSimulate:
         assert out == ""
         assert err.count("\n") == 1 and message in err
         assert not out_dir.exists()
+
+    def test_zero_sigma_prices_the_deterministic_market(self, capsys, tmp_path):
+        argv = [*self.BULL, "--output-dir", str(tmp_path / "sim")]
+        argv[argv.index("--sigma") + 1] = "0"
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        contract = OptionContract(
+            strike=0.03, expiry_T=10 / DAYS_PER_YEAR, rate_r=0.05, steps_n=10, ctr=0.03
+        )
+        expected = gbm_lattice.closed_form_price(GbmParams(spot_M0=1.0, sigma=0.0), contract)
+        assert expected > 0
+        assert json.loads(out)["option_price"] == pytest.approx(expected, rel=1e-11, abs=0)
 
     def test_scenario_or_market_required(self, capsys, tmp_path):
         code, _, err = run(

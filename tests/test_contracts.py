@@ -1,9 +1,11 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from firstlook.contracts import (
+    SV_PARAMS,
     GbmParams,
     OptionContract,
     StrikeBasis,
@@ -146,6 +148,16 @@ class TestContractValidation:
             GbmParams(spot_M0=0.0, sigma=0.5)
         with pytest.raises(ValueError):
             GbmParams(spot_M0=1.0, sigma=-0.1)
+
+    def test_sv_parameter_names_follow_the_dataclass(self):
+        assert SV_PARAMS == tuple(f.name for f in fields(SvParams) if f.name != "spot_M0")
+        # reports write the estimates in this order
+        assert SV_PARAMS == ("sigma0", "kappa", "theta", "delta")
+
+    @pytest.mark.parametrize("sigma,sigma0", [(0.5, 0.5), (1e-12, 1e-12), (0.0, 1e-12)])
+    def test_gbm_as_sv_holds_the_volatility(self, sigma, sigma0):
+        sv = GbmParams(spot_M0=2.0, sigma=sigma, mu=0.3).as_sv()
+        assert sv == SvParams(spot_M0=2.0, sigma0=sigma0, kappa=0.0, theta=sigma, delta=0.0)
 
     def test_sv_params_validation(self):
         SvParams(spot_M0=1.0, sigma0=0.5, kappa=3.0, theta=0.75, delta=0.35)

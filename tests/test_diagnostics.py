@@ -395,4 +395,4 @@ class TestL2Fitness:
         assert cmp.gbm_raw > 0 and cmp.sv_raw > 0
         assert cmp.gbm_smoothed <= cmp.gbm_raw * 1.5
         with pytest.raises(ValueError, match="n_instances must be >= 1"):
-            fitness_comparison(PriceSeries.from_prices(path), n_instances=0)
+            fitness_comparison(PriceSeries.from_prices(path), n_instances=0, seed=42)

@@ -258,6 +258,14 @@ class TestValidation:
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 revenue_analysis(days, CTR, 0.2, *args)
 
+    @pytest.mark.parametrize("terms", [(-0.01, 0.02), (0.01, -0.02)], ids=["premium", "strike"])
+    def test_negative_terms_refused(self, terms):
+        days = flat_market(1.0, 2)
+        with pytest.raises(ValueError, match="option_price and strike_cpc must be >= 0"):
+            simulate_options(5.0, days, CTR, *terms)
+        with pytest.raises(ValueError, match="option_price and strike_cpc must be >= 0"):
+            revenue_analysis(days, CTR, 0.2, *terms)
+
     def test_simulate_inputs_validated(self):
         with pytest.raises(ValueError):
             simulate_rtb(5.0, flat_market(1.0, 2), ctr=0.0)

@@ -160,23 +160,23 @@ class TestMcPrice:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            McConfig(Scheme.EULER, n_paths=1, steps=10)
+            McConfig(Scheme.EULER, n_paths=1, steps=10, seed=42)
         with pytest.raises(ValueError):
-            McConfig(Scheme.EULER, n_paths=100, steps=0)
+            McConfig(Scheme.EULER, n_paths=100, steps=0, seed=42)
 
     @pytest.mark.parametrize("n_paths", [-2, 0, 2, 3, 5, 99_999])
     def test_path_count_must_pair(self, n_paths):
         with pytest.raises(PathCountError, match=f"n_paths must be even and >= 4, got {n_paths}$"):
-            McConfig(Scheme.EULER, n_paths=n_paths, steps=10)
+            McConfig(Scheme.EULER, n_paths=n_paths, steps=10, seed=42)
 
     def test_cost_caps(self):
         with pytest.raises(ValueError, match="n_paths = 10000001 exceeds"):
-            McConfig(Scheme.EULER, n_paths=MAX_MC_PATHS + 1, steps=1)
+            McConfig(Scheme.EULER, n_paths=MAX_MC_PATHS + 1, steps=1, seed=42)
         with pytest.raises(ValueError, match="n_paths \\* steps = 1001000000 exceeds"):
-            McConfig(Scheme.EULER, n_paths=1_000_000, steps=1001)
+            McConfig(Scheme.EULER, n_paths=1_000_000, steps=1001, seed=42)
         # the caps themselves are admitted, and so is the CLI default of 100k x 500
-        McConfig(Scheme.EULER, n_paths=MAX_MC_PATHS, steps=MAX_PATH_STEPS // MAX_MC_PATHS)
-        McConfig(Scheme.MILSTEIN, n_paths=100_000, steps=500)
+        McConfig(Scheme.EULER, n_paths=MAX_MC_PATHS, steps=MAX_PATH_STEPS // MAX_MC_PATHS, seed=42)
+        McConfig(Scheme.MILSTEIN, n_paths=100_000, steps=500, seed=42)
 
 
 class TestPathSampling:
@@ -187,7 +187,7 @@ class TestPathSampling:
         assert (paths > 0).all()
 
     def test_terminal_matches_path_end(self):
-        term = deque(_walk_paths((BASE_SV,), 0.1, 1 / 365, 20, 7, Scheme.EULER, 5), maxlen=1).pop()[0]
+        term = deque(_walk_paths((BASE_SV,), 0.1, 1 / 365, 20, 7, Scheme.EULER, 5, False), maxlen=1).pop()[0]
         paths = sample_paths(BASE_SV, 0.1, 1 / 365, 20, 7, Scheme.EULER, seed=5)
         assert np.allclose(term, paths[:, -1], rtol=0, atol=0)
 
@@ -357,7 +357,7 @@ class TestBatchedSweep:
             assert row.mc_price == mc_price(replace(BASE_SV, kappa=value), BASE_CONTRACT, cfg).price
 
     def test_group_of_points_is_capped(self):
-        cfg = McConfig(Scheme.EULER, n_paths=100, steps=1)
+        cfg = McConfig(Scheme.EULER, n_paths=100, steps=1, seed=42)
         with pytest.raises(ValueError, match="exceeds supported maximum"):
             mc_price([BASE_SV] * (MAX_MC_PATHS // 100 + 1), BASE_CONTRACT, cfg)
 
@@ -386,16 +386,16 @@ class TestBatchedSweep:
 
     def test_sweep_budget(self):
         # criterion 6 and the CLI defaults are admitted
-        check_sweep(McConfig(Scheme.EULER, n_paths=100_000, steps=200), 5)
-        check_sweep(McConfig(Scheme.EULER, n_paths=100_000, steps=200),
+        check_sweep(McConfig(Scheme.EULER, n_paths=100_000, steps=200, seed=42), 5)
+        check_sweep(McConfig(Scheme.EULER, n_paths=100_000, steps=200, seed=42),
                     MAX_SWEEP_PATH_STEPS // (100_000 * 200))
         with pytest.raises(ValueError, match="points \\* n_paths \\* steps = 10020000000 exceeds"):
-            check_sweep(McConfig(Scheme.EULER, n_paths=100_000, steps=200), 501)
+            check_sweep(McConfig(Scheme.EULER, n_paths=100_000, steps=200, seed=42), 501)
         with pytest.raises(ValueError, match=f"sweep of {MAX_SWEEP_POINTS + 1} points exceeds"):
-            check_sweep(McConfig(Scheme.EULER, n_paths=4, steps=1), MAX_SWEEP_POINTS + 1)
+            check_sweep(McConfig(Scheme.EULER, n_paths=4, steps=1, seed=42), MAX_SWEEP_POINTS + 1)
 
     def test_sweep_refuses_before_allocating(self):
-        cfg = McConfig(Scheme.EULER, n_paths=100_000, steps=200)
+        cfg = McConfig(Scheme.EULER, n_paths=100_000, steps=200, seed=42)
         values = [3.0] * 501
         tracemalloc.start()
         try:
