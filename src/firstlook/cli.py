@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -95,10 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_contract_args(price)
     price.add_argument("--sigma", type=float, help="constant annual volatility")
     _add_sv_args(price)
-    price.add_argument(
-        "--stretch", type=float, default=gbm_lattice.DEFAULT_STRETCH,
-        help="grid stretch for the Boyle and Kamrad-Ritchken grids",
-    )
     price.add_argument("--paths", type=int, default=100_000, help="Monte Carlo paths")
     price.add_argument("--seed", type=int, default=DEFAULT_SEED)
     price.add_argument("--output", type=Path, help="also write the JSON report here")
@@ -112,11 +109,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated lattice methods",
     )
     conv.add_argument("--n-values", required=True, help="comma-separated ascending step counts")
-    conv.add_argument(
-        "--stretch", type=float, default=gbm_lattice.DEFAULT_STRETCH,
-        help="grid stretch for the Boyle and Kamrad-Ritchken grids",
-    )
     conv.add_argument("--output", type=Path, required=True, help="CSV destination")
+    for p in (price, conv):
+        p.add_argument(
+            "--stretch", type=float, default=gbm_lattice.DEFAULT_STRETCH,
+            help="grid stretch for the Boyle and Kamrad-Ritchken grids",
+        )
 
     diag = sub.add_parser("diagnose", help="test a price series for the constant-vol assumption")
     diag.add_argument("--input", type=Path, required=True, help="date,price CSV")
@@ -225,13 +223,8 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     series = diagnostics.PriceSeries.from_csv(args.input)
     verdict = diagnostics.gbm_test(series, alpha=args.alpha, lags=args.lags)
     payload: dict = {
-        "observations": len(series),
-        "alpha": args.alpha,
-        "shapiro_w": verdict.shapiro_w,
-        "shapiro_p": verdict.shapiro_p,
-        "ljung_q": verdict.ljung_q,
-        "ljung_p": verdict.ljung_p,
-        "is_gbm": verdict.is_gbm,
+        "observations": len(series), "alpha": args.alpha,
+        **{f.name: getattr(verdict, f.name) for f in fields(verdict) if f.name != "acf"},
     }
     try:
         gbm = diagnostics.estimate_gbm(series)

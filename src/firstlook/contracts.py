@@ -141,12 +141,12 @@ def underlying_value(cpm: float, contract: OptionContract):
     return cpm
 
 
-def payoff(terminal_cpm, contract: OptionContract):
-    """Exercise value at expiry: (underlying value - strike)^+.
+def payoff(value, contract: OptionContract):
+    """Exercise value at expiry: (value - strike)^+, ``value`` on the strike's basis.
 
-    Accepts numpy arrays of terminal CPMs as well as scalars.
+    Accepts numpy arrays as well as scalars.
     """
-    return np.maximum(underlying_value(terminal_cpm, contract) - contract.strike, 0.0)
+    return np.maximum(value - contract.strike, 0.0)
 
 
 def discount(value, rate_r: float, horizon: float):

@@ -16,7 +16,7 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 from scipy.special import betainc, gammaln
 
-from .contracts import GbmParams, OptionContract, discount, underlying_value
+from .contracts import GbmParams, OptionContract, discount, payoff, underlying_value
 from .output import write_table
 
 DEFAULT_STRETCH = math.sqrt(1.5)
@@ -186,11 +186,13 @@ def _binomial_grid(
     return move, spot, math.log(spot) + j * math.log(move.u) + (n - j) * math.log(move.d)
 
 
-def _check_overflow(log_values: np.ndarray) -> None:
+def _terminal_payoff(log_values: np.ndarray, contract: OptionContract) -> np.ndarray:
+    """Payoffs at the log terminal values, which are on the strike's basis."""
     # np.exp would turn an overflow into inf and a RuntimeWarning, where math.exp raises
     top = float(log_values.max())
     if top > LOG_FLOAT_MAX:
         raise OverflowError(f"terminal value exp({top:.6g}) overflows a float")
+    return payoff(np.exp(log_values), contract)
 
 
 def _exercise_boundary(log_values: np.ndarray, strike: float) -> int:
@@ -224,9 +226,8 @@ def binomial_price_sum(
     100k stay finite.
     """
     move, _, log_values = _binomial_grid(params, contract, method)
-    _check_overflow(log_values)
     n, q = contract.steps_n, move.q1
-    intrinsic = np.maximum(np.exp(log_values) - contract.strike, 0.0)
+    intrinsic = _terminal_payoff(log_values, contract)
 
     if q == 0.0 or q == 1.0:
         # degenerate walk: all mass on one terminal node
@@ -284,8 +285,7 @@ def trinomial_price(
     spot = underlying_value(params.spot_M0, contract)
     j = np.arange(-n, n + 1)
     log_terminal = math.log(spot) + n * math.log(move.m) + j * math.log(move.u / move.m)
-    _check_overflow(log_terminal)
-    values = np.maximum(np.exp(log_terminal) - contract.strike, 0.0)
+    values = _terminal_payoff(log_terminal, contract)
     disc = discount(1.0, contract.rate_r, contract.dt)
     q1, q2, q3 = move.q1, move.q2, move.q3
     # A node whose three successors are +0.0 is +0.0 (disc is finite: math.exp

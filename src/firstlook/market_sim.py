@@ -148,8 +148,7 @@ def simulate_rtb(
     require_finite("budget_per_day", budget_per_day)
     if budget_per_day < 0:
         raise ValueError(f"budget_per_day must be >= 0, got {budget_per_day}")
-    if not 0 < ctr <= 1:
-        raise ValueError(f"ctr must be in (0, 1], got {ctr}")
+    _check_terms(ctr, 0.0, 0.0)
     return SimulationLedger(rows=_deliver(budget_per_day, days, ctr, 0, 0.0, 0.0))
 
 

@@ -15,7 +15,7 @@ from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .contracts import SV_PARAMS, OptionContract, SvParams, discount, payoff
+from .contracts import SV_PARAMS, OptionContract, SvParams, discount, payoff, underlying_value
 from .output import write_table
 from .sv_lattice import build_censored_lattice, price_sv_option
 
@@ -127,6 +127,8 @@ def advance(
 
 
 def _generator(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     # counter-based bit generator: seed-stable regardless of draw layout
     return np.random.Generator(np.random.Philox(seed))
 
@@ -232,7 +234,7 @@ def mc_price(
     pairs = cfg.n_paths // 2
     results = []
     for terminal in deque(walk, maxlen=1).pop():
-        payoffs = payoff(terminal, contract)
+        payoffs = payoff(underlying_value(terminal, contract), contract)
         pair_means = 0.5 * (payoffs[:pairs] + payoffs[pairs:])
         price = discount(float(np.mean(pair_means)), contract.rate_r, contract.expiry_T)
         spread = discount(float(np.std(pair_means, ddof=1)), contract.rate_r, contract.expiry_T)

@@ -23,7 +23,7 @@ from typing import IO, Iterator
 
 import numpy as np
 
-from .contracts import OptionContract, SvParams, discount, payoff
+from .contracts import OptionContract, SvParams, discount, payoff, underlying_value
 from .output import write_table
 
 # the build holds one level at a time, so memory is O(n) while time stays
@@ -44,31 +44,23 @@ def vol_mean_path(params: SvParams, t: float) -> float:
     return params.theta + (params.sigma0 - params.theta) * math.exp(-params.kappa * t)
 
 
-def nearest_grid_index(x: float, sigma_next: float, dt: float) -> int:
-    """Integer J minimizing |J * sigma_next * sqrt(dt) - x|.
+def nearest_grid_index(x: float, spacing: float) -> int:
+    """Integer J minimizing |J * spacing - x|, for a spacing > 0.
 
     Exact ties round toward the larger index.
     """
-    if sigma_next <= 0:
-        raise ValueError(f"sigma_next must be > 0, got {sigma_next}")
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    spacing = sigma_next * math.sqrt(dt)
     return int(math.floor(x / spacing + 0.5))
 
 
-def censored_transition(q_mass, k_adjust, sigma_next: float, dt: float):
+def censored_transition(q_mass, k_adjust, spacing: float):
     """Split node probability mass between the two successors.
 
-    The raw up-flow (q_mass/2) * (1 + K / (sigma*sqrt(dt))) keeps the
-    expected log-price increment on its drift; it is censored into
-    [0, q_mass] when the grid displacement K is too large. Censoring is
-    defined behavior, not an error. ``q_mass`` and ``k_adjust`` may be
-    arrays covering a whole level.
+    The raw up-flow (q_mass/2) * (1 + K / spacing), where ``spacing`` is
+    the next level's, keeps the expected log-price increment on its drift;
+    it is censored into [0, q_mass] when the grid displacement K is too
+    large. Censoring is defined behavior, not an error. ``q_mass`` and
+    ``k_adjust`` may be arrays covering a whole level.
     """
-    if sigma_next <= 0:
-        raise ValueError(f"sigma_next must be > 0, got {sigma_next}")
-    spacing = sigma_next * math.sqrt(dt)
     raw = 0.5 * q_mass * (1.0 + k_adjust / spacing)
     # np.clip's values, NaN included, at a fraction of its call overhead
     q_up = np.minimum(np.maximum(raw, 0.0), q_mass)
@@ -80,10 +72,11 @@ def walk_levels(params: SvParams, contract: OptionContract) -> Iterator[tuple]:
 
     ``x`` are spot-relative log prices and ``q`` node probabilities; the
     rest describe the outgoing transitions (K is the node's signed
-    displacement above its grid point, x - J*sigma*sqrt(dt)) and are None
-    at the terminal level. Raises ValueError naming the level and node if
-    any value turns non-finite, naming the level and volatility if a grid
-    index does not fit in int64, and for step counts above MAX_SV_STEPS.
+    displacement above its grid point, x - J * spacing) and are None at
+    the terminal level. Raises ValueError naming the level and node if any
+    value turns non-finite, naming the level and volatility if the spacing
+    is not positive or a grid index does not fit in int64, and for step
+    counts above MAX_SV_STEPS.
     """
     contract.check_steps(MAX_SV_STEPS)
     dt = contract.dt
@@ -98,19 +91,18 @@ def walk_levels(params: SvParams, contract: OptionContract) -> Iterator[tuple]:
         spacing = sigma_next * sqrt_dt
         drift = (contract.rate_r - 0.5 * sigma_next * sigma_next) * dt
 
-        # j_top = floor(x_top / spacing + 0.5) must keep j_top + 1 and j_top - 2k - 1
-        # in int64; nearest_grid_index refuses a zero volatility itself
+        # the spacing must be positive, and j_top = floor(x_top / spacing + 0.5)
+        # must keep j_top + 1 and j_top - 2k - 1 in int64
         x_top = float(x[0])
-        in_range = spacing > 0 and _INT64_MIN + 2 * k + 1 <= x_top / spacing + 0.5 < _INT64_MAX
-        if sigma_next > 0 and not in_range:
+        if not (spacing > 0 and _INT64_MIN + 2 * k + 1 <= x_top / spacing + 0.5 < _INT64_MAX):
             raise ValueError(
                 f"grid index does not fit in int64 while building level {k + 1}, "
                 f"volatility {sigma_next!r}"
             )
-        j_top = nearest_grid_index(x_top, sigma_next, dt)
+        j_top = nearest_grid_index(x_top, spacing)
         j = j_top - evens[: k + 1]
         k_adj = x - j * spacing
-        q_up, q_down = censored_transition(q, k_adj, sigma_next, dt)
+        q_up, q_down = censored_transition(q, k_adj, spacing)
 
         x_next = ((j_top + 1) - evens[: k + 2]) * spacing + drift
         q_next = np.empty(k + 2)
@@ -151,7 +143,8 @@ def build_censored_lattice(params: SvParams, contract: OptionContract) -> SvLatt
 
 
 def _terminal_payoff(lattice: SvLattice) -> np.ndarray:
-    return payoff(lattice.params.spot_M0 * np.exp(lattice.x), lattice.contract)
+    terminal_cpm = lattice.params.spot_M0 * np.exp(lattice.x)
+    return payoff(underlying_value(terminal_cpm, lattice.contract), lattice.contract)
 
 
 @dataclass(frozen=True)

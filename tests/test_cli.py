@@ -169,6 +169,34 @@ class TestPrice:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["price", "--method", "mc-euler", *SV_FLAGS],
+            ["validate", *SV_FLAGS, "--param", "kappa", "--lo", "2", "--hi", "4", "--points", "2",
+             "--output", "never-written.csv"],
+            ["simulate", "--scenario", "bull", "--budget", "5", "--strike-cpc", "0.03",
+             "--output-dir", "never-written"],
+        ],
+        ids=["price", "validate", "simulate"],
+    )
+    def test_negative_seed_exit_one(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.chdir(tmp_path)
+        parser = cli.build_parser()
+        monkeypatch.setattr(cli, "build_parser", lambda: parser)
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, [*argv, "--seed", "-1"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert out == ""
+        assert err == "error: seed must be >= 0, got -1\n"
+        # refused before the 100k-path state of price and validate exists
+        assert peak < 64 * 1024
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["price", "--method", "mc-euler", *SV_FLAGS, "--paths", "3"],
             ["price", "--method", "mc-milstein", *SV_FLAGS, "--paths", "2"],
             ["validate", *SV_FLAGS, "--param", "kappa", "--lo", "2", "--hi", "4", "--points", "2",
@@ -199,6 +227,17 @@ class TestPrice:
         assert code == 1
         assert out == ""
         assert err.count("\n") == 1 and "grid index does not fit in int64 while building level 2" in err
+
+    def test_sv_zero_volatility_exit_one(self, capsys):
+        code, out, err = run(
+            capsys,
+            ["price", "--method", "sv-lattice", "--spot", "20", "--strike", "0.633",
+             "--expiry", "0.085", "--steps", "20", "--sigma0", "0.5", "--kappa", "1e6",
+             "--theta", "0", "--delta", "0.1"],
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: grid index does not fit in int64 while building level 1, volatility 0.0\n"
 
     def test_memory_error_exit_one(self, capsys, monkeypatch):
         def exhausted(*_args):

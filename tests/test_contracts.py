@@ -49,15 +49,15 @@ class TestPayoff:
     def test_in_the_money(self):
         # 2/300 - 0.005 = 0.0016666...
         c = make_contract()
-        assert payoff(2.0, c) == pytest.approx(0.0016666666666666666, rel=1e-12)
+        assert payoff(underlying_value(2.0, c), c) == pytest.approx(0.0016666666666666666, rel=1e-12)
 
     def test_out_of_the_money_is_zero(self):
         c = make_contract(strike=0.075)
-        assert payoff(2.0, c) == 0.0
+        assert payoff(underlying_value(2.0, c), c) == 0.0
 
     def test_at_the_money_boundary(self):
         c = make_contract(strike=per_click_value(2.0, 0.3))
-        assert payoff(2.0, c) == 0.0
+        assert payoff(underlying_value(2.0, c), c) == 0.0
 
     def test_per_mille_basis(self):
         c = make_contract(strike=1.5, strike_basis=StrikeBasis.PER_MILLE)

@@ -1,0 +1,66 @@
+"""Design checks on the package source itself."""
+
+import ast
+from pathlib import Path
+
+import firstlook
+
+PACKAGE = Path(firstlook.__file__).parent
+
+# every value a caller may leave out: a default is a knob, so adding one
+# means adding it here on purpose
+SETTABLE_VALUES = [
+    "cli.main(argv)",
+    "contracts.GbmParams.mu",
+    "contracts.OptionContract.strike_basis",
+    "diagnostics.estimate_sv(window)",
+    "diagnostics.gbm_test(alpha)",
+    "diagnostics.gbm_test(lags)",
+    "gbm_lattice.LatticeMethod.stretch_lambda",
+    "gbm_lattice.MoveSpec.m",
+    "gbm_lattice.MoveSpec.q3",
+    "output.json_dump(path)",
+]
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def _settable_values(tree: ast.Module, module: str) -> list[str]:
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                name = getattr(child, "name", "<lambda>")
+                args = child.args
+                positional = args.posonlyargs + args.args
+                defaulted = positional[len(positional) - len(args.defaults):]
+                defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+                found.extend(f"{scope}{name}({a.arg})" for a in defaulted)
+                visit(child, f"{scope}{name}.")
+            elif isinstance(child, ast.ClassDef):
+                if _is_dataclass(child):
+                    found.extend(
+                        f"{scope}{child.name}.{stmt.target.id}"
+                        for stmt in child.body
+                        if isinstance(stmt, ast.AnnAssign) and stmt.value is not None
+                    )
+                visit(child, f"{scope}{child.name}.")
+            else:
+                visit(child, scope)
+
+    visit(tree, f"{module}.")
+    return found
+
+
+def test_settable_values_are_the_listed_ten():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        found += _settable_values(ast.parse(path.read_text()), path.stem)
+    assert sorted(found) == SETTABLE_VALUES

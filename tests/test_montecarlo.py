@@ -7,7 +7,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from firstlook.contracts import GbmParams, OptionContract, SvParams, discount, payoff, per_click_value
+from firstlook.contracts import (
+    GbmParams, OptionContract, SvParams, discount, payoff, per_click_value, underlying_value,
+)
 from firstlook.gbm_lattice import closed_form_price
 from firstlook import montecarlo
 from firstlook.montecarlo import (
@@ -232,8 +234,9 @@ class TestAntitheticPairs:
     def test_price_and_error_come_from_pair_means(self):
         c, steps = BASE_CONTRACT, 20
         normals = np.random.Generator(np.random.Philox(5)).standard_normal((steps, 2, 4))
-        drawn, negated = (payoff(walk_on(eps, BASE_SV, c.rate_r, c.expiry_T / steps, Scheme.EULER), c)
-                          for eps in (normals, -normals))
+        terminals = (walk_on(eps, BASE_SV, c.rate_r, c.expiry_T / steps, Scheme.EULER)
+                     for eps in (normals, -normals))
+        drawn, negated = (payoff(underlying_value(m, c), c) for m in terminals)
         pair_means = (drawn + negated) / 2
         r = mc_price(BASE_SV, c, McConfig(Scheme.EULER, n_paths=8, steps=steps, seed=5))
         assert r.price == discount(float(pair_means.mean()), c.rate_r, c.expiry_T)

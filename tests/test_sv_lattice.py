@@ -48,50 +48,44 @@ class TestVolMeanPath:
 class TestNearestGridIndex:
     def test_on_grid_point(self):
         g = 0.25 * math.sqrt(0.01)
-        assert nearest_grid_index(3 * g, 0.25, 0.01) == 3
+        assert nearest_grid_index(3 * g, g) == 3
 
     def test_tie_rounds_up(self):
         g = 0.4 * math.sqrt(0.04)
-        assert nearest_grid_index(2.5 * g, 0.4, 0.04) == 3
+        assert nearest_grid_index(2.5 * g, g) == 3
 
     def test_negative_tie_rounds_toward_larger(self):
         g = 0.4 * math.sqrt(0.04)
-        assert nearest_grid_index(-2.5 * g, 0.4, 0.04) == -2
+        assert nearest_grid_index(-2.5 * g, g) == -2
 
     def test_ssp_spot_regression(self):
         # frozen: ln(0.7417) against the week-one grid of the SSP configuration
         dt = 0.0384 / 14
         sigma1 = vol_mean_path(SSP_SV, dt)
-        assert nearest_grid_index(math.log(0.7417), sigma1, dt) == -8
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            nearest_grid_index(0.1, 0.0, 0.01)
-        with pytest.raises(ValueError):
-            nearest_grid_index(0.1, 0.5, 0.0)
+        assert nearest_grid_index(math.log(0.7417), sigma1 * math.sqrt(dt)) == -8
 
 
 class TestCensoredTransition:
     def test_zero_displacement_splits_evenly(self):
-        q_up, q_down = censored_transition(0.6, 0.0, 0.5, 0.01)
+        q_up, q_down = censored_transition(0.6, 0.0, 0.5 * math.sqrt(0.01))
         assert q_up == pytest.approx(0.3)
         assert q_down == pytest.approx(0.3)
 
     def test_upper_censoring(self):
         g = 0.5 * math.sqrt(0.01)
-        q_up, q_down = censored_transition(0.6, 2 * g, 0.5, 0.01)
+        q_up, q_down = censored_transition(0.6, 2 * g, g)
         assert q_up == 0.6
         assert q_down == 0.0
 
     def test_lower_censoring(self):
         g = 0.5 * math.sqrt(0.01)
-        q_up, q_down = censored_transition(0.6, -2 * g, 0.5, 0.01)
+        q_up, q_down = censored_transition(0.6, -2 * g, g)
         assert q_up == 0.0
         assert q_down == 0.6
 
     def test_mass_split_exact(self):
         for k_adj in np.linspace(-0.1, 0.1, 21):
-            q_up, q_down = censored_transition(0.37, float(k_adj), 0.5, 0.01)
+            q_up, q_down = censored_transition(0.37, float(k_adj), 0.5 * math.sqrt(0.01))
             assert q_up + q_down == pytest.approx(0.37, abs=1e-15)
             assert 0.0 <= q_up <= 0.37
 
@@ -193,7 +187,8 @@ class TestBuild:
 
     @pytest.mark.parametrize(
         "sigma0,kappa,theta,level",
-        [(1e-300, 0.0, 0.0, 2), (1e150, 1.0, 1e150, 2), (5e-324, 0.0, 0.0, 1)],
+        [(1e-300, 0.0, 0.0, 2), (1e150, 1.0, 1e150, 2), (5e-324, 0.0, 0.0, 1),
+         (0.5, 1e6, 0.0, 1)],
     )
     def test_grid_index_beyond_int64_names_level_and_volatility(self, sigma0, kappa, theta, level):
         sv = SvParams(spot_M0=5.0, sigma0=sigma0, kappa=kappa, theta=theta, delta=0.1)
