@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import chdtrc
+from scipy.special import chdtrc, ndtri
 
 from . import montecarlo
 from .contracts import DAYS_PER_YEAR, GbmParams, SvParams
@@ -26,6 +26,20 @@ from .montecarlo import Scheme
 SMOOTH_WINDOW = 5
 # narrowest realized-volatility window ``estimate_sv`` regresses on
 MIN_SV_WINDOW = 5
+
+# Royston's AS R94 polynomials, constant term first: the two extreme
+# Shapiro-Wilk coefficients in 1/sqrt(n); the cut-off, mean and log-sd of
+# the transformed log(1 - W) in n for 4 <= n <= 11; its mean and log-sd in
+# log(n) for n >= 12
+_SW_EXTREME = (
+    (0.0, 0.221157, -0.147981, -2.07119, 4.434685, -2.706056),
+    (0.0, 0.042981, -0.293762, -1.752461, 5.682633, -3.582633),
+)
+_SW_GAMMA = (-2.273, 0.459)
+_SW_MEAN_SMALL = (0.544, -0.39978, 0.025054, -6.714e-4)
+_SW_LOG_SD_SMALL = (1.3822, -0.77857, 0.062767, -0.0020322)
+_SW_MEAN = (-1.5861, -0.31082, -0.083751, 0.0038915)
+_SW_LOG_SD = (-0.4803, -0.082676, 0.0030302)
 
 
 @dataclass(frozen=True)
@@ -94,17 +108,68 @@ def log_ratios(series: PriceSeries) -> np.ndarray:
     return np.diff(np.log(series.values))
 
 
+def _poly(coefs: Sequence[float], x: float) -> float:
+    """``coefs[0] + coefs[1] * x + ...`` by Horner's rule."""
+    total = 0.0
+    for c in reversed(coefs):
+        total = total * x + c
+    return total
+
+
 def shapiro_wilk(sample: Sequence[float]) -> tuple[float, float]:
-    """Shapiro-Wilk normality test (Royston's algorithm), 3 <= n <= 5000."""
+    """Shapiro-Wilk normality test, 3 <= n <= 5000 (Royston 1995, AS R94).
+
+    The coefficients are the normal scores ndtri((i - 3/8) / (n + 1/4)),
+    with the extreme one (two for n > 5) replaced by Royston's polynomial
+    in 1/sqrt(n); W is their squared correlation with the ordered sample.
+    The p-value is exact for n = 3 and otherwise comes from Royston's
+    normalizing transform of log(1 - W).
+    """
     x = np.asarray(sample, dtype=float)
-    if not 3 <= x.size <= 5000:
-        raise ValueError(f"sample size must be in [3, 5000], got {x.size}")
+    n = x.size
+    if not 3 <= n <= 5000:
+        raise ValueError(f"sample size must be in [3, 5000], got {n}")
+    if not np.isfinite(x).all():
+        raise ValueError("sample must be finite")
     if np.ptp(x) == 0:
         raise ValueError("degenerate input: sample is constant")
-    from scipy.stats import shapiro  # scipy.stats alone costs ~0.8 s of import
+    half = n // 2
+    m = ndtri((np.arange(1, half + 1) - 0.375) / (n + 0.25))
+    summ2 = 2.0 * float(np.dot(m, m))
+    rsn = 1.0 / math.sqrt(n)
+    ext = 2 if n > 5 else 1
+    top = np.array([_poly(c, rsn) for c in _SW_EXTREME[:ext]]) - m[:ext] / math.sqrt(summ2)
+    # the other scores are rescaled so that all n coefficients square-sum to 1
+    fac = math.sqrt(
+        (summ2 - 2.0 * float(np.dot(m[:ext], m[:ext]))) / (1.0 - 2.0 * float(np.dot(top, top)))
+    )
+    upper = np.concatenate([top, -m[ext:] / fac])
+    coefs = np.concatenate([-upper, np.zeros(n % 2), upper[::-1]])
 
-    w, p = shapiro(x)
-    return float(w), float(p)
+    # shifting by a middle value first keeps a large common offset from
+    # swamping the centring below
+    y = np.sort(x) - x[half]
+    y /= y[-1] - y[0]
+    y -= y.mean()
+    a = coefs - coefs.mean()
+    saa, syy, say = float(a @ a), float(y @ y), float(a @ y)
+    root = math.sqrt(saa * syy)
+    w1 = max((root - say) * (root + say) / (saa * syy), 0.0)  # 1 - W, without cancellation
+    w = 1.0 - w1
+
+    if n == 3:
+        p = 6.0 / math.pi * (math.asin(math.sqrt(w)) - math.pi / 3.0)
+        return w, max(p, 0.0)
+    z = math.log(w1) if w1 > 0.0 else -math.inf
+    if n <= 11:
+        gamma = _poly(_SW_GAMMA, n)
+        if z >= gamma:
+            return w, 1e-99  # past the transform's range
+        z = -math.log(gamma - z)
+        mean, log_sd = _poly(_SW_MEAN_SMALL, n), _poly(_SW_LOG_SD_SMALL, n)
+    else:
+        mean, log_sd = _poly(_SW_MEAN, math.log(n)), _poly(_SW_LOG_SD, math.log(n))
+    return w, 0.5 * math.erfc((z - mean) / math.exp(log_sd) / math.sqrt(2.0))
 
 
 @dataclass(frozen=True)

@@ -235,10 +235,11 @@ def binomial_price_sum(
         return discount(float(intrinsic[idx]), contract.rate_r, contract.expiry_T)
 
     j = np.arange(n + 1)
+    log_fact = gammaln(j + 1)  # log j!, so log (n - j)! is its reverse
     log_weight = (
-        gammaln(n + 1)
-        - gammaln(j + 1)
-        - gammaln(n - j + 1)
+        log_fact[-1]
+        - log_fact
+        - log_fact[::-1]
         + j * math.log(q)
         + (n - j) * math.log1p(-q)
     )

@@ -65,6 +65,7 @@ class McConfig:
         # paths run in antithetic pairs, and one pair has no spread
         if self.n_paths < MIN_MC_PATHS or self.n_paths % 2:
             raise PathCountError(f"n_paths must be even and >= {MIN_MC_PATHS}, got {self.n_paths}")
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -126,9 +127,13 @@ def advance(
     np.maximum(a, 0.0, out=sigma)
 
 
-def _generator(seed: int) -> np.random.Generator:
+def _check_seed(seed: int) -> None:
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+
+
+def _generator(seed: int) -> np.random.Generator:
+    _check_seed(seed)
     # counter-based bit generator: seed-stable regardless of draw layout
     return np.random.Generator(np.random.Philox(seed))
 

@@ -498,6 +498,16 @@ class TestValidate:
         "--delta", "0.35", "--paths", "20000", "--mc-steps", "50",
     ]
 
+    def test_negative_seed_refused_before_any_lattice(self, capsys, monkeypatch, tmp_path):
+        def never(*args):
+            raise AssertionError("an SV lattice was built for a sweep with a negative seed")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(montecarlo, "build_censored_lattice", never)
+        argv = ["validate", *SV_FLAGS, "--steps", "3000", "--param", "kappa", "--lo", "2",
+                "--hi", "4", "--points", "40", "--output", "never-written.csv", "--seed", "-1"]
+        assert run(capsys, argv) == (1, "", "error: seed must be >= 0, got -1\n")
+
     def test_sweep_writes_rows_and_exits_zero_when_contained(self, capsys, tmp_path):
         out = tmp_path / "sweep.csv"
         code, _, _ = run(
@@ -737,8 +747,9 @@ class TestFrozenOutputs:
     Captured from numpy 2.4 on x86-64 before the CSV and JSON writers were
     folded into ``firstlook.output``; a refactor must leave every byte as is.
     The two ``diagnose`` digests were re-pinned when its tables moved from LF
-    to CRLF line endings; with CRLF turned back into LF they are the old ones.
-    The four Monte Carlo digests (``c11-price``, ``c11-validate`` and
+    to CRLF line endings, and again when ``shapiro_wilk`` left scipy.stats for
+    a numpy port, which moved ``shapiro_w`` and ``shapiro_p`` by under 1e-9
+    relative and nothing else. The four Monte Carlo digests (``c11-price``, ``c11-validate`` and
     ``price-mc-*``) were re-pinned when ``mc_price`` moved to antithetic pairs.
     """
 
@@ -804,12 +815,12 @@ class TestFrozenOutputs:
     }
     DIGESTS = {
         "c11-converge": "70117bca8e82f492e855528be64e48d8e0c6835f396e3260768626dbaf1b4126",
-        "c11-diagnose": "aa6cd8f91acb5b1d388c076f69fafb92629d7af3b941717759d7195bef1c1cda",
+        "c11-diagnose": "46445d3493a6a7d9d1f30e8a724eb1d5a5c8484e82f2941eb0f100cdd4f484c6",
         "c11-price": "d27b07b8a57f1870b54b511f14535d9258aeddff95b66fc09591c098f05e6293",
         "c11-simulate": "1fe0626f40e6f61fd1b7492a100c77501991314d2da16d13816fc09f12f0d7e6",
         "c11-validate": "16f0657d6d9de66145b8e999744f76fa1a26ea4faa32c2ccac21ab73fd80065a",
         "converge-failing-rows": "6cf6a26d3c4dc1f3e76a1f833ae1a1f0da457da4ce4ea5ca4bf8d1926b0f4c3a",
-        "diagnose-options": "b205199bb05aee19f82f71d41c4d56bf7ad65aa3bafd3e2a609a42ce57b06998",
+        "diagnose-options": "02af90e6a10fbc2e2f9ba9c3e59698d0979b6127ecfecb9e5df72f01d73ee47d",
         "price-boyle-trin": "c21a90311043592c11b354cbc873f9cb7df8b0d8748e0e3eb4cbf1b3ad481e56",
         "price-closed": "3a7421fdf1cac7612559b87be8aa0dab409487ceb774fc0aa32d47881d078f33",
         "price-crr": "26daecc366fa98e0a7a393038961e98e76c7620395e0fb311592ebe851ad91c0",

@@ -64,3 +64,25 @@ def test_settable_values_are_the_listed_ten():
     for path in sorted(PACKAGE.glob("*.py")):
         found += _settable_values(ast.parse(path.read_text()), path.stem)
     assert sorted(found) == SETTABLE_VALUES
+
+
+def _imported_modules(tree: ast.Module) -> set[str]:
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            found.add(node.module)
+            found.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return found
+
+
+def test_no_module_imports_scipy_stats():
+    # scipy.stats costs about 0.6 s and 45 MB at start-up; scipy.special has what we need
+    offenders = [
+        f"{path.name}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in sorted(_imported_modules(ast.parse(path.read_text())))
+        if name == "scipy.stats" or name.startswith("scipy.stats.")
+    ]
+    assert offenders == []

@@ -132,11 +132,57 @@ class TestLogRatios:
         assert abs(spread - target) / target < 0.30
 
 
+SW_SIZES = [3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 50, 365, 2000, 5000]
+SW_SAMPLES = {
+    "normal": lambda rng, n: rng.standard_normal(n),
+    "exponential": lambda rng, n: rng.exponential(size=n),
+    "laplace": lambda rng, n: rng.laplace(size=n),
+    "tied": lambda rng, n: np.round(rng.standard_normal(n), 1),
+    "offset": lambda rng, n: 1e9 + rng.standard_normal(n),
+}
+
+
 class TestShapiroWilk:
     def test_r_reference_vector(self):
+        # scipy.stats.shapiro sits 1.06e-7 (W) and 1.05e-6 (p) from these values
         w, p = shapiro_wilk(R_SAMPLE)
-        assert w == pytest.approx(R_SHAPIRO_W, abs=1e-3)
-        assert p == pytest.approx(R_SHAPIRO_P, abs=1e-3)
+        assert w == pytest.approx(R_SHAPIRO_W, abs=5e-6)
+        assert p == pytest.approx(R_SHAPIRO_P, abs=5e-6)
+
+    @pytest.mark.parametrize("n", SW_SIZES)
+    @pytest.mark.parametrize("kind", SW_SAMPLES)
+    def test_matches_scipy(self, kind, n):
+        x = SW_SAMPLES[kind](np.random.default_rng(n), n)
+        w, p = shapiro_wilk(x)
+        w_ref, p_ref = stats.shapiro(x)
+        assert w == pytest.approx(w_ref, rel=1e-8)
+        assert p == pytest.approx(p_ref, rel=1e-5)
+
+    @pytest.mark.parametrize("n", [12, 50, 365, 5000])
+    def test_matches_scipy_on_cauchy_samples(self, n):
+        # scipy takes its normal scores from AS 111 (relative error up to
+        # 1.4e-8), not ndtri; the gap that leaves in W grows with the weight
+        # of the extreme order statistics, to about 2.3e-7 on Cauchy samples
+        x = np.random.default_rng(n).standard_cauchy(n)
+        w, p = shapiro_wilk(x)
+        w_ref, p_ref = stats.shapiro(x)
+        assert w == pytest.approx(w_ref, rel=1e-6)
+        assert p == pytest.approx(p_ref, rel=1e-5)
+
+    @pytest.mark.parametrize(
+        "sample",
+        [[0.0, 1.0, 2.0], [0.0, 0.0, 1.0], [0.0, 1.0, 1.0], [0.0, 1.0, 2.0, 3.0],
+         # on the n = 4 coefficients' own shape, so that 1 - W rounds to 0
+         [-1.2366681326153, -0.2993069104656671, 0.2993069104656671, 1.2366681326153],
+         [0.0] * 10 + [1.0], list(np.arange(30.0) ** 1.5), list(2.0 ** np.arange(40)),
+         list(np.round(np.random.default_rng(5).standard_normal(5000), 2))],
+        ids=["n3-even", "n3-low-tie", "n3-high-tie", "n4-even", "n4-exact-fit", "n11-outlier",
+             "powers", "geometric", "n5000-rounded"],
+    )
+    def test_p_in_unit_interval(self, sample):
+        w, p = shapiro_wilk(sample)
+        assert 0.0 < w <= 1.0
+        assert 0.0 <= p <= 1.0
 
     def test_skewed_sample_rejected(self):
         rng = np.random.default_rng(1)
@@ -146,6 +192,11 @@ class TestShapiroWilk:
     def test_constant_sample_error(self):
         with pytest.raises(ValueError, match="constant"):
             shapiro_wilk([1.0] * 10)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_error(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            shapiro_wilk([0.1, -0.4, 1.2, bad, 0.3])
 
     @pytest.mark.parametrize("n", [2, 5001])
     def test_size_limits(self, n):
