@@ -12,6 +12,8 @@ import pytest
 from firstlook import cli, gbm_lattice, montecarlo, sv_lattice
 from firstlook.cli import main
 from firstlook.contracts import DAYS_PER_YEAR, SV_PARAMS, GbmParams, OptionContract
+from firstlook.gbm_lattice import LatticeMethod, MethodKind
+from induction_oracle import induction_price
 
 ITM_FLAGS = [
     "--spot", "2.0", "--strike", "0.005", "--ctr", "0.3",
@@ -251,7 +253,7 @@ class TestPrice:
 
     @pytest.mark.parametrize(
         "method,rate",
-        # overflows in trinomial_price's step discount, movement_params' growth and discount
+        # overflows in trinomial_price's whole-horizon discount, movement_params' growth and discount
         [("boyle-trin", "-800"), ("crr", "800"), ("closed", "-800")],
     )
     def test_overflow_exit_one(self, capsys, method, rate):
@@ -381,6 +383,18 @@ class TestConverge:
         assert (code, out) == (2, "")
         assert err == "error: stretch_lambda must be >= 1 for kr-trin, got 0.5\n"
         assert not out_file.exists()
+
+    def test_unit_stretch_prices_by_oracle(self, capsys):
+        # --stretch 1 zeroes kr-trin's middle probability, so every other node carries no mass
+        code, out, err = run(
+            capsys,
+            ["price", "--method", "kr-trin", "--stretch", "1", *ITM_FLAGS, "--sigma", "0.5",
+             "--steps", "100"],
+        )
+        assert (code, err) == (0, "")
+        c = OptionContract(strike=0.005, expiry_T=31 / 365, rate_r=0.05, steps_n=100, ctr=0.3)
+        expected = induction_price(GbmParams(2.0, 0.5), c, LatticeMethod(MethodKind.KR_TRIN, 1.0))
+        assert json.loads(out)["price"] == pytest.approx(expected, rel=1e-10)
 
 
 class TestDiagnose:
@@ -814,12 +828,12 @@ class TestFrozenOutputs:
         ],
     }
     DIGESTS = {
-        "c11-converge": "70117bca8e82f492e855528be64e48d8e0c6835f396e3260768626dbaf1b4126",
+        "c11-converge": "f3576b59a13bd692675ec01fc101110eaa76f966f8e118a738369ec25dc60e48",
         "c11-diagnose": "46445d3493a6a7d9d1f30e8a724eb1d5a5c8484e82f2941eb0f100cdd4f484c6",
         "c11-price": "d27b07b8a57f1870b54b511f14535d9258aeddff95b66fc09591c098f05e6293",
         "c11-simulate": "1fe0626f40e6f61fd1b7492a100c77501991314d2da16d13816fc09f12f0d7e6",
         "c11-validate": "16f0657d6d9de66145b8e999744f76fa1a26ea4faa32c2ccac21ab73fd80065a",
-        "converge-failing-rows": "6cf6a26d3c4dc1f3e76a1f833ae1a1f0da457da4ce4ea5ca4bf8d1926b0f4c3a",
+        "converge-failing-rows": "cd560069e5ee43d55a430a9baa6fa462d5b1e5701c2b35e0e2ceb78f108b591e",
         "diagnose-options": "02af90e6a10fbc2e2f9ba9c3e59698d0979b6127ecfecb9e5df72f01d73ee47d",
         "price-boyle-trin": "c21a90311043592c11b354cbc873f9cb7df8b0d8748e0e3eb4cbf1b3ad481e56",
         "price-closed": "3a7421fdf1cac7612559b87be8aa0dab409487ceb774fc0aa32d47881d078f33",

@@ -2,6 +2,7 @@ import io
 import math
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -27,6 +28,7 @@ from firstlook.gbm_lattice import (
     report_to_csv,
     trinomial_price,
 )
+from induction_oracle import induction_price
 
 # benchmark configuration: in-the-money one-month call on a 2.0 CPM slot
 ITM = dict(strike=0.005, expiry_T=31 / 365, rate_r=0.05, ctr=0.3)
@@ -326,33 +328,98 @@ class TestTrinomialPricer:
         assert err_tian < err_crr
 
 
+TRINOMIALS = (MethodKind.BOYLE_TRIN, MethodKind.KR_TRIN, MethodKind.TIAN_TRIN)
+
+
+def assert_matches_induction(params, c, m):
+    """The terminal sum is within 1e-10 of the plain backward induction, and
+    exactly 0 where the induction prices 0."""
+    expected = induction_price(params, c, m)
+    got = trinomial_price(params, c, m)
+    if expected == 0.0:
+        assert got == 0.0
+    else:
+        assert abs(got - expected) <= 1e-10 * expected, (got, expected)
+
+
+class TestTrinomialAgainstInduction:
+    """The terminal sum against the O(n^2) induction of ``induction_oracle``."""
+
+    # strike on the strike's basis, from the spot and the top terminal node there
+    STRIKES = {
+        "zero": lambda spot, top: 0.0,
+        "deep-itm": lambda spot, top: 0.1 * spot,
+        "atm": lambda spot, top: spot,
+        "otm": lambda spot, top: 1.3 * spot,
+        # criterion 1's OUT_MONEY strike, 16.65 sigma out of the money at sigma 0.5
+        "out-of-the-money": lambda spot, top: 0.075,
+        "above-every-node": lambda spot, top: 2.0 * top,
+    }
+
+    @pytest.mark.parametrize("strike", sorted(STRIKES))
+    @pytest.mark.parametrize("n", [1, 2, 3, 100, 1000, 5000, 20_000])
+    @pytest.mark.parametrize("kind", TRINOMIALS, ids=lambda k: k.value)
+    def test_agrees(self, kind, n, strike):
+        # sigma and rate are seeded draws around PARAMS and ITM
+        rng = np.random.default_rng([20140102, TRINOMIALS.index(kind), n])
+        params = GbmParams(spot_M0=2.0, sigma=float(rng.uniform(0.45, 0.55)))
+        c = contract(n, rate_r=float(rng.uniform(0.0, 0.1)))
+        m = method(kind)
+        move = movement_params(m, params.sigma, c.rate_r, c.dt)
+        spot = per_click_value(params.spot_M0, c.ctr)
+        c = replace(c, strike=self.STRIKES[strike](spot, spot * move.u**n))
+        assert_matches_induction(params, c, m)
+
+    @pytest.mark.parametrize(
+        "lam,sigma,rate,dt,zeros",
+        [
+            (1.0, 0.5, 0.05, 0.001, ["q2"]),
+            (2.0, 1.0, 1.5, 0.25, ["q3"]),
+            (2.0, 1.0, -0.5, 0.25, ["q1"]),
+            (1.0, 1.0, 1.5, 1.0, ["q2", "q3"]),
+        ],
+        ids=["q2", "q3", "q1", "q2-q3"],
+    )
+    def test_zero_probabilities(self, lam, sigma, rate, dt, zeros):
+        # Kamrad-Ritchken inputs that zero one or two probabilities exactly;
+        # two moves are left, so the walk is a binomial
+        m = method(MethodKind.KR_TRIN, lam)
+        move = movement_params(m, sigma, rate, dt)
+        assert [name for name in ("q1", "q2", "q3") if getattr(move, name) == 0.0] == zeros
+        params = GbmParams(spot_M0=2.0, sigma=sigma)
+        spot = per_click_value(params.spot_M0, 0.3)
+        for strike in (0.0, spot, 1.3 * spot):
+            c = contract(100, strike=strike, expiry_T=100 * dt, rate_r=rate)
+            assert c.dt == dt
+            assert_matches_induction(params, c, m)
+
+
 class TestFrozenOutputs:
     """Bits of the trinomial prices, frozen from numpy 2.4 on x86-64.
 
     Each row is (boyle-trin, kr-trin, tian-trin) on PARAMS. The cases
-    cover the block of exact zeros the induction skips: present at small
-    n, absent at strike 0, the whole grid above every node, and a
-    per-mille strike.
+    cover small n, strike 0, the whole grid above every node, deep in
+    and out of the money, and a per-mille strike.
     """
 
     PRICES = {
         "n1": (dict(steps_n=1, strike=0.007),
                ("0x1.42b5991f38038p-12", "0x1.3f436fdd7f5dbp-12", "0x1.55cf0a82949bbp-13")),
         "n2": (dict(steps_n=2, strike=0.007),
-               ("0x1.28a4ee475d926p-12", "0x1.2784339171ce7p-12", "0x1.b87af2d552de6p-13")),
+               ("0x1.28a4ee475d926p-12", "0x1.2784339171ce8p-12", "0x1.b87af2d552de6p-13")),
         "n3": (dict(steps_n=3, strike=0.007),
-               ("0x1.23a17b30e9091p-12", "0x1.22db8ac4606adp-12", "0x1.e0b170ed0fe89p-13")),
+               ("0x1.23a17b30e9091p-12", "0x1.22db8ac4606aep-12", "0x1.e0b170ed0fe8dp-13")),
         "n1000": (dict(steps_n=1000, strike=0.007),
-                  ("0x1.134e0beefcfc8p-12", "0x1.134d7b755c45bp-12", "0x1.13472dff19e9fp-12")),
+                  ("0x1.134e0beefcf98p-12", "0x1.134d7b755c304p-12", "0x1.13472dff19bc4p-12")),
         "zero-strike": (dict(steps_n=50, strike=0.0),
-                        ("0x1.b4e81b4e81b50p-8", "0x1.b4e812ea8e33cp-8", "0x1.b4e81b4e81bf2p-8")),
+                        ("0x1.b4e81b4e81b61p-8", "0x1.b4e812ea8e338p-8", "0x1.b4e81b4e81c20p-8")),
         "above-every-node": (dict(steps_n=50, strike=1.0), ("0x0.0p+0",) * 3),
         "deep-itm": (dict(steps_n=50, strike=0.0005),
-                     ("0x1.94470bc620b4ap-8", "0x1.944703622d337p-8", "0x1.94470bc620bf4p-8")),
+                     ("0x1.94470bc620b5dp-8", "0x1.944703622d336p-8", "0x1.94470bc620c1cp-8")),
         "out-of-the-money": (dict(steps_n=200, strike=0.009),
-                             ("0x1.252a0634de5c9p-17", "0x1.251c95d701b08p-17", "0x1.26d767a846f71p-17")),
+                             ("0x1.252a0634de5b3p-17", "0x1.251c95d701aafp-17", "0x1.26d767a846f7ap-17")),
         "per-mille": (dict(steps_n=50, strike=2.1, strike_basis=StrikeBasis.PER_MILLE),
-                      ("0x1.4267cc636e72ep-4", "0x1.425a814a22456p-4", "0x1.40fda48c7d058p-4")),
+                      ("0x1.4267cc636e736p-4", "0x1.425a814a22438p-4", "0x1.40fda48c7d08ap-4")),
     }
 
     @pytest.mark.parametrize("case", sorted(PRICES))
