@@ -14,7 +14,6 @@ from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import diagnostics, gbm_lattice, market_sim, montecarlo, sv_lattice
 from .contracts import DAYS_PER_YEAR, SV_PARAMS, GbmParams, OptionContract, StrikeBasis, SvParams
@@ -248,7 +247,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     counts, edges = np.histogram(ratios, bins=10)
     tables = {
         "acf.csv": (["lag", "value", "band"], verdict.acf.rows()),
-        "qq.csv": (["theoretical", "sample"], zip(ndtri(grid), standardized)),
+        "qq.csv": (["theoretical", "sample"], zip(diagnostics.normal_quantile(grid), standardized)),
         "hist.csv": (["bin_left", "bin_right", "count"], zip(edges[:-1], edges[1:], counts)),
     }
     out = args.output_dir

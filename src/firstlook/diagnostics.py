@@ -12,11 +12,11 @@ import math
 from dataclasses import dataclass, replace
 from datetime import date, timedelta
 from pathlib import Path
+from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import chdtrc, ndtri
 
 from . import montecarlo
 from .contracts import DAYS_PER_YEAR, GbmParams, SvParams
@@ -108,6 +108,46 @@ def log_ratios(series: PriceSeries) -> np.ndarray:
     return np.diff(np.log(series.values))
 
 
+def normal_quantile(p: Sequence[float]) -> np.ndarray:
+    """Standard normal quantiles of probabilities in (0, 1) (Wichura 1988, AS 241)."""
+    inv_cdf = NormalDist().inv_cdf
+    return np.array([inv_cdf(float(v)) for v in p])
+
+
+def chi2_upper(df: int, x: float) -> float:
+    """P(X > x) for X chi-square with integer ``df`` >= 1.
+
+    With y = x/2 the tail has a closed form: e^-y * sum of y^a / a! for
+    a = 0 .. df/2 - 1 when df is even, and erfc(sqrt(y)) plus the same sum
+    over a = 1/2 .. df/2 - 1, with a! = Gamma(a + 1), when df is odd. The
+    terms are added relative to the largest in log space, so that e^-y may
+    underflow on its own without taking the sum with it. Left of the mean,
+    where that sum nears 1, the tail is one minus the lower tail: the same
+    terms continued from a = df/2 on, which fall off geometrically.
+    """
+    if df < 1:
+        raise ValueError(f"df must be >= 1, got {df}")
+    if x <= 0.0:
+        return 1.0
+    y = 0.5 * x
+    log_y = math.log(y)
+
+    def log_term(a: float) -> float:
+        return a * log_y - y - math.lgamma(a + 1.0)
+
+    if df > 2 and y < df / 2:
+        lower = [log_term(df / 2)]
+        while lower[-1] > lower[0] - 40.0:
+            lower.append(log_term(df / 2 + len(lower)))
+        return 1.0 - math.fsum(math.exp(v) for v in lower)
+    logs = [log_term(df % 2 / 2 + i) for i in range(df // 2)]
+    tail = 0.0
+    if logs:
+        top = max(logs)
+        tail = math.exp(top + math.log(math.fsum(math.exp(v - top) for v in logs)))
+    return tail + math.erfc(math.sqrt(y)) if df % 2 else tail
+
+
 def _poly(coefs: Sequence[float], x: float) -> float:
     """``coefs[0] + coefs[1] * x + ...`` by Horner's rule."""
     total = 0.0
@@ -119,7 +159,7 @@ def _poly(coefs: Sequence[float], x: float) -> float:
 def shapiro_wilk(sample: Sequence[float]) -> tuple[float, float]:
     """Shapiro-Wilk normality test, 3 <= n <= 5000 (Royston 1995, AS R94).
 
-    The coefficients are the normal scores ndtri((i - 3/8) / (n + 1/4)),
+    The coefficients are the normal scores of (i - 3/8) / (n + 1/4),
     with the extreme one (two for n > 5) replaced by Royston's polynomial
     in 1/sqrt(n); W is their squared correlation with the ordered sample.
     The p-value is exact for n = 3 and otherwise comes from Royston's
@@ -131,10 +171,11 @@ def shapiro_wilk(sample: Sequence[float]) -> tuple[float, float]:
         raise ValueError(f"sample size must be in [3, 5000], got {n}")
     if not np.isfinite(x).all():
         raise ValueError("sample must be finite")
-    if np.ptp(x) == 0:
+    # a spread of a few ulps is rounding, not data
+    if np.ptp(x) <= 16 * np.spacing(np.max(np.abs(x))):
         raise ValueError("degenerate input: sample is constant")
     half = n // 2
-    m = ndtri((np.arange(1, half + 1) - 0.375) / (n + 0.25))
+    m = normal_quantile((np.arange(1, half + 1) - 0.375) / (n + 0.25))
     summ2 = 2.0 * float(np.dot(m, m))
     rsn = 1.0 / math.sqrt(n)
     ext = 2 if n > 5 else 1
@@ -212,8 +253,7 @@ def ljung_box(sample: Sequence[float], lags: int) -> tuple[float, float]:
     rho = acf(x, lags).values[1:]
     k = np.arange(1, lags + 1)
     q = n * (n + 2.0) * float(np.sum(rho * rho / (n - k)))
-    p = float(chdtrc(lags, q))
-    return q, p
+    return q, chi2_upper(lags, q)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ from enum import Enum
 from typing import IO, Iterable, Sequence
 
 import numpy as np
-from scipy.special import betainc, gammaln
 
 from .contracts import GbmParams, OptionContract, discount, payoff, underlying_value
 from .output import write_table
@@ -214,6 +213,8 @@ def _upper_tail(j: int, n: int, p: float) -> float:
     import of the stats package. ``bdtrc`` is a different routine and
     drifts from it in the far tail.
     """
+    from scipy.special import betainc  # imported here: it is most of a command's start-up
+
     return 1.0 if j == 0 else float(betainc(j, n - j + 1, p))
 
 
@@ -237,6 +238,8 @@ def _binomial_log_weights(n: int, q: float) -> np.ndarray:
         log_weight = np.full(n + 1, -np.inf)
         log_weight[n if q == 1.0 else 0] = 0.0
         return log_weight
+    from scipy.special import gammaln  # imported here: it is most of a command's start-up
+
     j = np.arange(n + 1)
     log_fact = gammaln(j + 1)  # log j!, so log (n - j)! is its reverse
     return (

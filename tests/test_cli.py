@@ -437,6 +437,17 @@ class TestDiagnose:
         assert code == 1
         assert "2 observations" in err
 
+    def test_doubling_series_refused_before_writing(self, capsys, tmp_path):
+        # its log ratios differ only by rounding: too narrow to test or to histogram
+        path = self.write_series(tmp_path, [2.0**i for i in range(6)])
+        out_dir = tmp_path / "o"
+        code, out, err = run(
+            capsys, ["diagnose", "--input", str(path), "--output-dir", str(out_dir)]
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: degenerate input: sample is constant\n"
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("lags", [0, -2])
     def test_given_lags_reach_ljung_box(self, capsys, tmp_path, lags):
         # only a defaulted lag count blames the series length

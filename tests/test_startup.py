@@ -1,10 +1,11 @@
 """Fresh-interpreter checks: what the CLI imports, and the README example.
 
-``scipy.stats`` takes most of a second and about 45 MB to import, and
-every CLI command runs in a fresh process; the package uses
-``scipy.special`` only. Each case runs ``firstlook.cli.main`` in a new
-interpreter on a tiny input and reports which of the two modules were
-loaded; ``scipy.special`` showing up proves that the probe sees imports.
+``scipy.special`` takes about a quarter of a second and 26 MB to import,
+and every CLI command runs in a fresh process. Only the binomial pricers
+need it (``gammaln`` and ``betainc``), so they import it on first use.
+One new interpreter runs the scipy-free commands in turn and reports the
+scipy modules loaded after each; a binomial ``price`` then runs as the
+positive control, which shows that the probe sees the imports.
 """
 
 import json
@@ -20,9 +21,12 @@ import pytest
 PROBE = """
 import contextlib, io, json, sys
 from firstlook.cli import main
-with contextlib.redirect_stdout(io.StringIO()):
-    code = main(json.loads(sys.argv[1]))
-print(json.dumps({"code": code, **{m: m in sys.modules for m in ("scipy.special", "scipy.stats")}}))
+report = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    report.append({"code": code, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")})
+print(json.dumps(report))
 """
 
 ITM = ["--spot", "2.0", "--strike", "0.005", "--ctr", "0.3", "--expiry", "0.085", "--sigma", "0.5"]
@@ -30,11 +34,24 @@ SV = [
     "--spot", "20", "--strike", "0.633", "--expiry", "0.085", "--steps", "20",
     "--sigma0", "0.5", "--kappa", "3", "--theta", "0.75", "--delta", "0.35",
 ]
+SCIPY_FREE = {
+    "closed": ["price", "--method", "closed", *ITM],
+    "kr-trin": ["price", "--method", "kr-trin", *ITM, "--steps", "50"],
+    "sv-lattice": ["price", "--method", "sv-lattice", *SV],
+    "mc-euler": ["price", "--method", "mc-euler", *SV, "--paths", "500"],
+    "diagnose": ["diagnose", "--input", "series.csv", "--output-dir", "diag"],
+    "validate": ["validate", *SV, "--param", "kappa", "--lo", "2", "--hi", "4", "--points", "2",
+                 "--paths", "500", "--mc-steps", "10", "--output", "sweep.csv"],
+    "simulate": ["simulate", "--scenario", "bull", "--days", "10", "--budget", "5.0",
+                 "--strike-cpc", "0.03", "--output-dir", "sim"],
+}
+CRR = ["price", "--method", "crr", *ITM, "--steps", "50"]
+CONVERGE = ["converge", *ITM, "--n-values", "10,20", "--output", "conv.csv"]
 
 
-def run_fresh(argv, cwd, env):
+def run_fresh(argvs, cwd, env):
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(argv)],
+        [sys.executable, "-c", PROBE, json.dumps(argvs)],
         capture_output=True, text=True, cwd=cwd, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -49,31 +66,15 @@ def write_series(path):
     path.write_text("\n".join(lines) + "\n")
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["price", "--method", "closed", *ITM],
-        ["price", "--method", "crr", *ITM, "--steps", "50"],
-        ["price", "--method", "kr-trin", *ITM, "--steps", "50"],
-        ["price", "--method", "sv-lattice", *SV],
-        ["price", "--method", "mc-euler", *SV, "--paths", "500"],
-        ["converge", *ITM, "--n-values", "10,20", "--output", "conv.csv"],
-        ["diagnose", "--input", "series.csv", "--output-dir", "diag"],
-        ["validate", *SV, "--param", "kappa", "--lo", "2", "--hi", "4", "--points", "2",
-         "--paths", "500", "--mc-steps", "10", "--output", "sweep.csv"],
-        ["simulate", "--scenario", "bull", "--days", "10", "--budget", "5.0",
-         "--strike-cpc", "0.03", "--output-dir", "sim"],
-    ],
-    ids=["closed", "crr", "kr-trin", "sv-lattice", "mc-euler", "converge", "diagnose", "validate",
-         "simulate"],
-)
-def test_command_does_not_import_scipy_stats(tmp_path, child_env, argv):
+def test_only_binomial_pricers_load_scipy(tmp_path, child_env):
     write_series(tmp_path / "series.csv")
-    result = run_fresh(argv, tmp_path, child_env)
-    assert result["code"] == 0
-    assert result["scipy.stats"] is False
-    # the probe sees the imports a command does make
-    assert result["scipy.special"] is True
+    report = run_fresh([*SCIPY_FREE.values(), CRR, CONVERGE], tmp_path, child_env)
+    for name, row in zip(SCIPY_FREE, report):
+        assert row == {"code": 0, "scipy": []}, name
+    crr, converge = report[len(SCIPY_FREE):]
+    assert crr["code"] == 0
+    assert "scipy.special" in crr["scipy"]
+    assert converge["code"] == 0
 
 
 def test_readme_library_example(tmp_path, child_env):
