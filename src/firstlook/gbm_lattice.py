@@ -7,6 +7,7 @@ of them.
 
 from __future__ import annotations
 
+import bisect
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -170,52 +171,153 @@ MAX_BINOMIAL_STEPS = 100_000
 MAX_TRINOMIAL_STEPS = 20_000
 
 
-def _binomial_grid(
+def _binomial_step(
     params: GbmParams, contract: OptionContract, method: LatticeMethod
-) -> tuple[MoveSpec, float, np.ndarray]:
-    """The step's moves, the spot on the strike's basis, and the log terminal
-    underlying values at nodes j = 0..n (ascending) of a binomial lattice."""
+) -> tuple[MoveSpec, float]:
+    """The step's moves and the spot on the strike's basis, for a binomial lattice."""
     if not method.is_binomial:
         raise ValueError(f"{method.kind.value} is not a binomial method")
     contract.check_steps(MAX_BINOMIAL_STEPS)
-    n = contract.steps_n
     move = movement_params(method, params.sigma, contract.rate_r, contract.dt)
-    spot = underlying_value(params.spot_M0, contract)
-    j = np.arange(n + 1)
-    return move, spot, math.log(spot) + j * math.log(move.u) + (n - j) * math.log(move.d)
+    return move, underlying_value(params.spot_M0, contract)
 
 
-def _terminal_payoff(log_values: np.ndarray, contract: OptionContract) -> np.ndarray:
-    """Payoffs at the log terminal values, which are on the strike's basis."""
+def _binomial_log_values(spot: float, move: MoveSpec, n: int, j: int | np.ndarray):
+    """Log terminal underlying values at binomial nodes ``j``; they ascend with j."""
+    return math.log(spot) + j * math.log(move.u) + (n - j) * math.log(move.d)
+
+
+def _terminal_payoff(log_values: np.ndarray, top: float, contract: OptionContract) -> np.ndarray:
+    """Payoffs at the log terminal values, which are on the strike's basis;
+    ``top`` is the lattice's highest log terminal value."""
     # np.exp would turn an overflow into inf and a RuntimeWarning, where math.exp raises
-    top = float(log_values.max())
     if top > LOG_FLOAT_MAX:
         raise OverflowError(f"terminal value exp({top:.6g}) overflows a float")
     return payoff(np.exp(log_values), contract)
 
 
-def _exercise_boundary(log_values: np.ndarray, strike: float) -> int:
-    """Smallest node index whose terminal value reaches the strike.
-
-    ``log_values`` ascend with the node index; returns len(log_values)
-    when no node is in the money.
-    """
+def _exercise_boundary(spot: float, move: MoveSpec, n: int, strike: float) -> int:
+    """Smallest node index whose terminal value reaches the strike; n + 1 when
+    no node is in the money. A bisection on the node values, which ascend."""
     if strike <= 0:
         return 0
-    return int(np.searchsorted(log_values, math.log(strike)))
+    return bisect.bisect_left(
+        range(n + 1), math.log(strike), key=lambda j: _binomial_log_values(spot, move, n, j)
+    )
+
+
+# Stirling's remainder log m! - log(sqrt(2 pi m) (m/e)^m) at m = 0..15, taking 0 at m = 0
+_STIRLERR_SMALL = np.array([
+    0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+    0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
+    0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
+    0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
+])
+
+
+def _stirlerr(m: np.ndarray) -> np.ndarray:
+    """Stirling's remainder at whole numbers m >= 1 (a float array): the table
+    below 16, the first five terms of Stirling's series from there."""
+    x = 1.0 / m
+    x2 = x * x
+    remainder = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - x2 / 1188) * x2) * x2) * x2) * x
+    small = m < 16
+    remainder[small] = _STIRLERR_SMALL[m[small].astype(np.intp)]
+    return remainder
+
+
+def _binomial_log_weights(n: int, q: float, j: np.ndarray) -> np.ndarray:
+    """log P(X = j) for X ~ Binomial(n, q) at the nodes ``j`` (an int array,
+    values in 0..n); -inf off the support.
+
+    Loader's saddle-point form (2000, "Fast and Accurate Computation of
+    Binomial Probabilities"): stirlerr(n) - stirlerr(j) - stirlerr(n - j)
+    - bd0(j, nq) - bd0(n - j, n(1 - q)) + log(n / (2 pi j (n - j))) / 2,
+    with bd0(x, M) = x log1p((x - M) / M) - (x - M). The linear parts of
+    the two bd0 cancel, so they are left out. Each term stays small near
+    the mode, where log-gamma differences lose digits to cancellation.
+    Nodes 0 and n are n log(1 - q) and n log q.
+    """
+    if q == 0.0 or q == 1.0:
+        # degenerate walk: all mass on one terminal node
+        return np.where(j == (n if q == 1.0 else 0), 0.0, -np.inf)
+    # nodes 0 and n first; the saddle-point form then fills in the inner nodes
+    log_weight = np.where(j == 0, n * math.log1p(-q), n * math.log(q))
+    inner = (j > 0) & (j < n)
+    i = j[inner].astype(np.float64)
+    k = n - i
+    dev = i - n * q
+    log_weight[inner] = (
+        (_stirlerr(np.array([float(n)]))[0] + 0.5 * math.log(n / (2.0 * math.pi)))
+        - (_stirlerr(i) + _stirlerr(k))
+        - 0.5 * (np.log(i) + np.log(k))
+        - i * np.log1p(dev / (n * q))
+        - k * np.log1p(-dev / (n * (1.0 - q)))
+    )
+    return log_weight
+
+
+# cap on the continued fraction's terms; it needs the most when p sits near
+# the mean of the tail: at most 202 at n = 100k
+MAX_FRACTION_TERMS = 1_000
+
+
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """The continued fraction F in I_x(a, b) = x^a (1 - x)^b / (a B(a, b)) F,
+    the regularized incomplete beta, by the modified Lentz method (Numerical
+    Recipes, 3rd ed., 6.4). It converges fast for x < (a + 1) / (a + b + 2)."""
+    tiny = 1e-300  # stands in for a zero denominator
+    c, d = 1.0, 1.0 / (1.0 - (a + b) * x / (a + 1.0) or tiny)
+    fraction, a2m = d, a
+    for m in range(1, MAX_FRACTION_TERMS + 1):
+        a2m += 2.0  # a + 2m; each pass applies the even, then the odd coefficient
+        coef = m * (b - m) * x / ((a2m - 1.0) * a2m)
+        d = 1.0 / (1.0 + coef * d or tiny)
+        c = 1.0 + coef / c or tiny
+        fraction *= d * c
+        coef = -(a + m) * (a + b + m) * x / (a2m * (a2m + 1.0))
+        d = 1.0 / (1.0 + coef * d or tiny)
+        c = 1.0 + coef / c or tiny
+        step = d * c
+        fraction *= step
+        if abs(step - 1.0) <= sys.float_info.epsilon:
+            return fraction
+    raise ValueError(f"incomplete beta fraction at a = {a:g}, b = {b:g}, x = {x!r} "
+                     f"did not converge in {MAX_FRACTION_TERMS} terms")
 
 
 def _upper_tail(j: int, n: int, p: float) -> float:
     """P(X >= j) for X ~ Binomial(n, p), 0 <= j <= n.
 
-    The regularized incomplete beta I_p(j, n - j + 1) is what SciPy's
-    ``binom.sf(j - 1, n, p)`` evaluates, bit for bit, without the slow
-    import of the stats package. ``bdtrc`` is a different routine and
-    drifts from it in the far tail.
+    This is the regularized incomplete beta I_p(a, b), a = j, b = n - j + 1,
+    by its continued fraction. Below p = (a + 1) / (a + b + 2) the fraction
+    converges fast as it is; from there on the tail is one minus the lower
+    tail, 1 - I_{1-p}(b, a). Since 1 / (a B(a, b)) = C(n, j), the front
+    factor p^a (1 - p)^b / (a B(a, b)) is pmf(j) (1 - p), and that of the
+    lower tail is pmf(j - 1) p; both come from the saddle-point log weights.
     """
-    from scipy.special import betainc  # imported here: it is most of a command's start-up
+    if j == 0 or p == 1.0:
+        return 1.0
+    if p == 0.0:
+        return 0.0
+    a, b = float(j), float(n - j + 1)
+    if p < (a + 1.0) / (a + b + 2.0):
+        front = _binomial_log_weights(n, p, np.array([j]))[0] + math.log1p(-p)
+        return math.exp(front) * _beta_fraction(a, b, p)
+    front = _binomial_log_weights(n, p, np.array([j - 1]))[0] + math.log(p)
+    return 1.0 - math.exp(front) * _beta_fraction(b, a, 1.0 - p)
 
-    return 1.0 if j == 0 else float(betainc(j, n - j + 1, p))
+
+def _binomial_window(n: int, q: float) -> tuple[int, int]:
+    """First and last node within sqrt(373 n) of the mean n q, clipped to 0..n.
+
+    By Hoeffding's bound P(X = j) <= exp(-2 (j - n q)^2 / n) for
+    X ~ Binomial(n, q), so every node further out weighs less than e^-746,
+    which exp rounds to 0.
+    """
+    reach = math.sqrt(373.0 * n)
+    return max(math.ceil(n * q - reach), 0), min(math.floor(n * q + reach), n)
 
 
 def binomial_price_sum(
@@ -223,32 +325,17 @@ def binomial_price_sum(
 ) -> float:
     """Price by direct summation over the terminal binomial distribution.
 
-    Binomial weights are accumulated in log space so step counts up to
-    100k stay finite.
+    Only the in-the-money nodes of ``_binomial_window`` are summed. Weights
+    are accumulated in log space so step counts up to 100k stay finite.
     """
-    move, _, log_values = _binomial_grid(params, contract, method)
-    log_weight = _binomial_log_weights(contract.steps_n, move.q1)
-    return _discounted_sum(log_weight, _terminal_payoff(log_values, contract), contract)
-
-
-def _binomial_log_weights(n: int, q: float) -> np.ndarray:
-    """log P(X = j), j = 0..n, for X ~ Binomial(n, q); -inf off the support."""
-    if q == 0.0 or q == 1.0:
-        # degenerate walk: all mass on one terminal node
-        log_weight = np.full(n + 1, -np.inf)
-        log_weight[n if q == 1.0 else 0] = 0.0
-        return log_weight
-    from scipy.special import gammaln  # imported here: it is most of a command's start-up
-
-    j = np.arange(n + 1)
-    log_fact = gammaln(j + 1)  # log j!, so log (n - j)! is its reverse
-    return (
-        log_fact[-1]
-        - log_fact
-        - log_fact[::-1]
-        + j * math.log(q)
-        + (n - j) * math.log1p(-q)
+    move, spot = _binomial_step(params, contract, method)
+    n, q = contract.steps_n, move.q1
+    first, last = _binomial_window(n, q)
+    j = np.arange(max(first, _exercise_boundary(spot, move, n, contract.strike)), last + 1)
+    intrinsic = _terminal_payoff(
+        _binomial_log_values(spot, move, n, j), _binomial_log_values(spot, move, n, n), contract
     )
+    return _discounted_sum(_binomial_log_weights(n, q, j), intrinsic, contract)
 
 
 def _discounted_sum(
@@ -270,9 +357,9 @@ def complementary_binomial_price(
     u-shifted measure and a strike leg under the pricing measure; returns
     0 when no terminal node is in the money.
     """
-    move, spot, log_values = _binomial_grid(params, contract, method)
+    move, spot = _binomial_step(params, contract, method)
     n, q = contract.steps_n, move.q1
-    j_star = _exercise_boundary(log_values, contract.strike)
+    j_star = _exercise_boundary(spot, move, n, contract.strike)
     if j_star > n:
         return 0.0
     growth = math.exp(contract.rate_r * contract.dt)
@@ -311,16 +398,18 @@ def _half_log_weights(n: int, lead: float, mid: float, far: float) -> np.ndarray
 
 def _trinomial_log_weights(n: int, q1: float, q2: float, q3: float) -> np.ndarray:
     """log of the terminal weights at nodes -n..n (ascending): the coefficients
-    of (q3 + q2 x + q1 x^2)^n; -inf where a node carries no mass."""
+    of (q3 + q2 x + q1 x^2)^n; -inf where a node carries no mass, or on a
+    binomial walk less than e^-746."""
     if q2 == 0.0 or q1 == 0.0 or q3 == 0.0:
         # two moves are left, so the walk is a binomial on every other node
         # (q2 = 0), on the lower half (q1 = 0) or on the upper half (q3 = 0)
         lo, hi = (0, 2) if q2 == 0.0 else (0, 1) if q1 == 0.0 else (1, 2)
         probs = (q3, q2, q1)
+        p = probs[hi] / (probs[lo] + probs[hi])
+        first, last = _binomial_window(n, p)
+        j = np.arange(first, last + 1)
         log_weight = np.full(2 * n + 1, -np.inf)
-        log_weight[lo * n : hi * n + 1 : hi - lo] = _binomial_log_weights(
-            n, probs[hi] / (probs[lo] + probs[hi])
-        )
+        log_weight[lo * n + (hi - lo) * j] = _binomial_log_weights(n, p, j)
         return log_weight
     # past the middle the recurrence's (n - k) turns negative, so the upper
     # half runs top-down from C_2n = q1^n, with q1 and q3 swapped
@@ -349,7 +438,7 @@ def trinomial_price(
     spot = underlying_value(params.spot_M0, contract)
     j = np.arange(-n, n + 1)
     log_terminal = math.log(spot) + n * math.log(move.m) + j * math.log(move.u / move.m)
-    intrinsic = _terminal_payoff(log_terminal, contract)
+    intrinsic = _terminal_payoff(log_terminal, log_terminal[-1], contract)
     log_weight = _trinomial_log_weights(n, move.q1, move.q2, move.q3)
     return _discounted_sum(log_weight, intrinsic, contract)
 

@@ -33,6 +33,11 @@ R_SHAPIRO_W = 0.939984787255526
 R_SHAPIRO_P = 0.239621898000460
 
 # frozen 60-point noise sample and its AR-filtered variant; reference
+# a doubling series to 2^39, whose log ratios are all exactly log 2
+DOUBLING_RATIOS = log_ratios(PriceSeries.from_prices([2.0**i for i in range(40)]))
+# log 2 with noise in the last bits: six values spread over 8 ulps
+NEAR_CONSTANT = math.log(2.0) + np.spacing(math.log(2.0)) * np.array([0.0, 3.0, 1.0, 8.0, 2.0, 5.0])
+
 # Ljung-Box and ACF values computed with statsmodels 0.14
 NOISE_60 = [
     0.486696, -1.460126, -0.146841, -1.097741, -0.432333, -0.420599, -1.192474,
@@ -124,6 +129,10 @@ class TestLogRatios:
         s = PriceSeries.from_prices([1.0, 1.1, 1.21, 1.331])
         assert np.allclose(log_ratios(s), math.log(1.1))
 
+    def test_doubling_series_ratios_exact(self):
+        # 2^39 has log 27.03, whose rounding a difference of log prices kept
+        assert np.all(DOUBLING_RATIOS == math.log(2.0))
+
     def test_length(self):
         s = gbm_series(n=31)
         assert log_ratios(s).size == 30
@@ -196,11 +205,8 @@ class TestShapiroWilk:
             shapiro_wilk([1.0] * 10)
 
     def test_sample_constant_to_rounding_error(self):
-        # a doubling series: its log ratios differ only in the last bits
-        ratios = log_ratios(PriceSeries.from_prices([2.0**i for i in range(6)]))
-        assert np.ptp(ratios) > 0
         with pytest.raises(ValueError, match="degenerate input"):
-            shapiro_wilk(ratios)
+            shapiro_wilk(NEAR_CONSTANT)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_sample_error(self, bad):
@@ -281,6 +287,14 @@ class TestLjungBox:
     def test_constant_sample_error(self):
         with pytest.raises(ValueError, match="constant"):
             ljung_box([2.0] * 40, 5)
+
+    @pytest.mark.parametrize("sample", ["doubling", "near-constant"])
+    def test_sample_constant_to_rounding_error(self, sample):
+        # as differences of log prices, the doubling series' ratios spread over
+        # 32 ulps, from which the test read a lag-1 correlation of -0.92, p = 1e-28
+        x = DOUBLING_RATIOS if sample == "doubling" else np.resize(NEAR_CONSTANT, 40)
+        with pytest.raises(ValueError, match="degenerate input: sample is constant"):
+            ljung_box(x, 5)
 
 
 class TestNormalQuantile:
@@ -382,6 +396,12 @@ class TestAcf:
     def test_constant_sample_error(self):
         with pytest.raises(ValueError, match="constant"):
             acf([3.0] * 30, 2)
+
+    @pytest.mark.parametrize("sample", ["doubling", "near-constant"])
+    def test_sample_constant_to_rounding_error(self, sample):
+        x = DOUBLING_RATIOS if sample == "doubling" else NEAR_CONSTANT
+        with pytest.raises(ValueError, match="degenerate input: sample is constant"):
+            acf(x, 2)
 
 
 class TestGbmTest:
@@ -490,7 +510,7 @@ class TestEstimateSv:
     def test_realized_vol_is_per_window_sample_std(self, window):
         # bit for bit: each window's ddof=1 standard deviation, annualized
         s = gbm_series(sigma=0.6, n=60, seed=13)
-        ratios = np.diff(np.log(s.values))
+        ratios = np.log1p(np.diff(s.values) / s.values[:-1])
         stds = [np.std(ratios[i : i + window], ddof=1) for i in range(ratios.size - window + 1)]
         expected = np.array(stds) * (1.0 / math.sqrt(1 / 365))
         np.testing.assert_allclose(realized_vol(s, window), expected, rtol=0, atol=0)

@@ -7,8 +7,10 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
+from scipy.special import gammaln
 from scipy.stats import binom
 
+from firstlook import gbm_lattice
 from firstlook.contracts import GbmParams, OptionContract, StrikeBasis, per_click_value
 from firstlook.gbm_lattice import (
     DEFAULT_STRETCH,
@@ -22,8 +24,11 @@ from firstlook.gbm_lattice import (
     convergence_report,
     lattice_price,
     movement_params,
-    _binomial_grid,
+    _binomial_log_values,
+    _binomial_log_weights,
+    _binomial_step,
     _exercise_boundary,
+    _trinomial_log_weights,
     _upper_tail,
     report_to_csv,
     trinomial_price,
@@ -172,6 +177,33 @@ class TestMovementParams:
             movement_params(method(MethodKind.CRR), kwargs["sigma"], 0.05, kwargs["dt"])
 
 
+def binomial_price_mp(params, c, m):
+    """The lattice's discounted expected payoff, summed at 40 digits outward
+    from the mode until the weights fall below 1e-60."""
+    move = movement_params(m, params.sigma, c.rate_r, c.dt)
+    n = c.steps_n
+    with mpmath.workdps(40):
+        p, u, d = mpmath.mpf(move.q1), mpmath.mpf(move.u), mpmath.mpf(move.d)
+        spot, strike = mpmath.mpf(per_click_value(params.spot_M0, c.ctr)), mpmath.mpf(c.strike)
+        total = mpmath.mpf(0)
+        for k, step in ((int(n * move.q1), 1), (int(n * move.q1) - 1, -1)):
+            weight = mpmath.exp(mpmath.loggamma(n + 1) - mpmath.loggamma(k + 1)
+                                - mpmath.loggamma(n - k + 1) + k * mpmath.log(p)
+                                + (n - k) * mpmath.log1p(-p))
+            value = spot * u**k * d ** (n - k)
+            while 0 <= k <= n and weight > 1e-60:
+                if value > strike:
+                    total += weight * (value - strike)
+                elif step < 0:
+                    break  # every lower node is out of the money too
+                if step > 0:
+                    weight, value = weight * (n - k) / (k + 1) * p / (1 - p), value * u / d
+                else:
+                    weight, value = weight * k / (n - k + 1) * (1 - p) / p, value * d / u
+                k += step
+        return float(total * mpmath.exp(-mpmath.mpf(c.rate_r) * mpmath.mpf(c.expiry_T)))
+
+
 class TestBinomialPricers:
     def test_single_step_equals_hand_expectation(self):
         c = contract(n=1)
@@ -181,6 +213,13 @@ class TestBinomialPricers:
         expected = math.exp(-0.05 * c.dt) * (mv.q1 * up + mv.q2 * down)
         got = binomial_price_sum(PARAMS, c, method(MethodKind.CRR))
         assert got == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("kind", [MethodKind.CRR, MethodKind.TIAN_BIN, MethodKind.HAAHTELA_BIN])
+    def test_step_cap_matches_exact_lattice_sum(self, kind):
+        # the log-gamma weights put these prices 1.5e-10 off the sum
+        c = contract(n=MAX_BINOMIAL_STEPS)
+        expected = binomial_price_mp(PARAMS, c, method(kind))
+        assert binomial_price_sum(PARAMS, c, method(kind)) == pytest.approx(expected, rel=1e-13, abs=0)
 
     def test_zero_strike_reduces_to_spot_value(self):
         c = contract(n=200, strike=0.0)
@@ -251,12 +290,13 @@ class TestExerciseBoundary:
             sigma = float(rng.uniform(0.05, 1.5))
             # spot_M0 / (1000 * ctr) puts the per-click spot in [0.001, 0.1]
             p = GbmParams(spot_M0=float(rng.uniform(0.3, 30.0)), sigma=sigma)
-            _, _, log_values = _binomial_grid(p, c, method(kind))
+            move, spot = _binomial_step(p, c, method(kind))
+            log_values = _binomial_log_values(spot, move, n, np.arange(n + 1))
             node = float(np.exp(log_values[int(rng.integers(n + 1))]))
             near = (np.nextafter(node, 0.0), node, np.nextafter(node, np.inf))
             for strike in (0.0, *near, float(rng.uniform(0.0, 0.2)), 1e9):
                 expected = exercise_boundary_by_scan(log_values, strike)
-                assert _exercise_boundary(log_values, strike) == expected
+                assert _exercise_boundary(spot, move, n, strike) == expected
 
 
 def upper_tails_mp(n, p):
@@ -290,17 +330,89 @@ class TestUpperTail:
                 else:
                     assert abs(got - exact[j]) <= 1e-12 * exact[j], (j, n, p)
 
-    def test_bitwise_equal_to_binom_sf(self):
+    def test_matches_binom_sf(self):
+        # worst gap on these cases: 9.3e-13 relative (n 72804, j 19769, p 0.2253);
+        # on the twelve largest gaps mpmath puts this tail within 4.0e-13 of the
+        # exact sum, and binom.sf within 9.1e-13
         rng = np.random.default_rng(20140102)
-        got, expected = [], []
         for case in range(2000):
             n = int(rng.integers(1, MAX_BINOMIAL_STEPS + 1))
             k = int(rng.integers(-1, n))
             p = [rng.uniform(0.0, 1.0), rng.uniform(0.0, 0.01), 1.0 - rng.uniform(0.0, 0.01),
                  0.0, 1.0][case % 5]
-            got.append(_upper_tail(k + 1, n, float(p)).hex())
-            expected.append(float(binom.sf(k, n, p)).hex())
-        assert got == expected
+            got = _upper_tail(k + 1, n, float(p))
+            expected = float(binom.sf(k, n, p))
+            if expected < sys.float_info.min:
+                # below the normal range only the underflow itself can be checked
+                assert got < 2 * sys.float_info.min, (n, k, p)
+            else:
+                assert abs(got - expected) <= 2e-12 * expected, (n, k, p)
+
+    def test_fraction_cap_is_a_one_line_error(self, monkeypatch):
+        monkeypatch.setattr(gbm_lattice, "MAX_FRACTION_TERMS", 5)
+        with pytest.raises(ValueError, match=r"did not converge in 5 terms$"):
+            _upper_tail(5_000, 10_000, 0.5)
+
+
+def log_weights_mp(n, q, nodes):
+    """Exact log P(X = j), X ~ Binomial(n, q), at 40 digits."""
+    with mpmath.workdps(40):
+        q = mpmath.mpf(q)
+        return [
+            mpmath.loggamma(n + 1) - mpmath.loggamma(j + 1) - mpmath.loggamma(n - j + 1)
+            + j * mpmath.log(q) + (n - j) * mpmath.log1p(-q)
+            for j in map(int, nodes)
+        ]
+
+
+class TestBinomialLogWeights:
+    @pytest.mark.parametrize("q", [3e-3, 0.4999, 0.997])
+    @pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 1000, 40_000, 100_000])
+    def test_at_least_as_accurate_as_log_gamma(self, n, q):
+        mode, sd = math.floor((n + 1) * q), math.sqrt(n * q * (1.0 - q))
+        nodes = np.array(sorted({
+            min(max(j, 0), n)
+            for j in (0, 1, mode - round(3 * sd), mode, mode + round(3 * sd), n - 1, n)
+        }))
+        exact = log_weights_mp(n, q, nodes)
+
+        def errors(got):
+            return np.array([abs(float(mpmath.mpf(g) - e)) for g, e in zip(got, exact)])
+
+        new = errors(_binomial_log_weights(n, q, nodes))
+        # the log-gamma form is the baseline to match
+        old = errors(gammaln(n + 1) - gammaln(nodes + 1) - gammaln(n - nodes + 1)
+                     + nodes * math.log(q) + (n - nodes) * math.log1p(-q))
+        # two ulps of the value itself is as close as a float formula gets
+        floor = 2 * np.spacing(np.abs(np.array(exact, dtype=float)))
+        assert np.all((new <= floor) | (new <= old.max())), (new, old)
+
+    @pytest.mark.parametrize("n", [1, 7, 10_000, 40_000])
+    def test_terminal_sum_drops_only_underflowing_nodes(self, n):
+        # binomial_price_sum sums the in-the-money nodes within sqrt(373 n) of
+        # the mean; the nodes it leaves out weigh exactly 0 once exponentiated
+        m = method(MethodKind.CRR)
+        for strike in (0.0, 0.004, 0.005, 0.006, 0.1):
+            c = contract(n=n, strike=strike)
+            move, spot = _binomial_step(PARAMS, c, m)
+            j = np.arange(n + 1)
+            weight = np.exp(_binomial_log_weights(n, move.q1, j))
+            assert not weight[np.abs(j - n * move.q1) > math.sqrt(373 * n)].any()
+            intrinsic = np.maximum(np.exp(_binomial_log_values(spot, move, n, j)) - strike, 0.0)
+            full = float(np.sum(weight * intrinsic)) * math.exp(-c.rate_r * c.expiry_T)
+            assert binomial_price_sum(PARAMS, c, m) == pytest.approx(full, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("zero", ["q1", "q2", "q3"])
+    def test_two_move_trinomial_drops_only_underflowing_nodes(self, zero):
+        n = 5_000
+        probs = {"q3": 0.25, "q2": 0.45, "q1": 0.3, zero: 0.0}
+        got = np.exp(_trinomial_log_weights(n, probs["q1"], probs["q2"], probs["q3"]))
+        # the binomial walk on the two moves left, with every node weighed
+        (lo, down), (hi, up) = [(k, v) for k, (name, v) in enumerate(probs.items()) if name != zero]
+        p = up / (down + up)
+        expected = np.zeros(2 * n + 1)
+        expected[lo * n : hi * n + 1 : hi - lo] = np.exp(_binomial_log_weights(n, p, np.arange(n + 1)))
+        assert np.array_equal(got, expected)
 
 
 class TestTrinomialPricer:

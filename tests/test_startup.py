@@ -1,11 +1,11 @@
 """Fresh-interpreter checks: what the CLI imports, and the README example.
 
-``scipy.special`` takes about a quarter of a second and 26 MB to import,
-and every CLI command runs in a fresh process. Only the binomial pricers
-need it (``gammaln`` and ``betainc``), so they import it on first use.
-One new interpreter runs the scipy-free commands in turn and reports the
-scipy modules loaded after each; a binomial ``price`` then runs as the
-positive control, which shows that the probe sees the imports.
+scipy is a test oracle only: ``scipy.special`` takes about a quarter of a
+second and 26 MB to import, and every CLI command runs in a fresh
+process, so no command may load any scipy module. One new interpreter
+runs every command in turn and reports the scipy modules loaded after
+each; it then imports ``scipy.special`` itself and reports again, the
+positive control that shows the probe sees an import.
 """
 
 import json
@@ -19,13 +19,19 @@ import numpy as np
 import pytest
 
 PROBE = """
-import contextlib, io, json, sys
+import contextlib, importlib, io, json, sys
 from firstlook.cli import main
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
 report = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
-    report.append({"code": code, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")})
+    report.append({"code": code, "scipy": scipy_loaded()})
+importlib.import_module("scipy.special")
+report.append({"code": None, "scipy": scipy_loaded()})
 print(json.dumps(report))
 """
 
@@ -34,7 +40,7 @@ SV = [
     "--spot", "20", "--strike", "0.633", "--expiry", "0.085", "--steps", "20",
     "--sigma0", "0.5", "--kappa", "3", "--theta", "0.75", "--delta", "0.35",
 ]
-SCIPY_FREE = {
+COMMANDS = {
     "closed": ["price", "--method", "closed", *ITM],
     "kr-trin": ["price", "--method", "kr-trin", *ITM, "--steps", "50"],
     "sv-lattice": ["price", "--method", "sv-lattice", *SV],
@@ -44,9 +50,9 @@ SCIPY_FREE = {
                  "--paths", "500", "--mc-steps", "10", "--output", "sweep.csv"],
     "simulate": ["simulate", "--scenario", "bull", "--days", "10", "--budget", "5.0",
                  "--strike-cpc", "0.03", "--output-dir", "sim"],
+    "crr": ["price", "--method", "crr", *ITM, "--steps", "50"],
+    "converge": ["converge", *ITM, "--n-values", "10,20", "--output", "conv.csv"],
 }
-CRR = ["price", "--method", "crr", *ITM, "--steps", "50"]
-CONVERGE = ["converge", *ITM, "--n-values", "10,20", "--output", "conv.csv"]
 
 
 def run_fresh(argvs, cwd, env):
@@ -66,15 +72,12 @@ def write_series(path):
     path.write_text("\n".join(lines) + "\n")
 
 
-def test_only_binomial_pricers_load_scipy(tmp_path, child_env):
+def test_no_command_loads_scipy(tmp_path, child_env):
     write_series(tmp_path / "series.csv")
-    report = run_fresh([*SCIPY_FREE.values(), CRR, CONVERGE], tmp_path, child_env)
-    for name, row in zip(SCIPY_FREE, report):
+    *rows, control = run_fresh(list(COMMANDS.values()), tmp_path, child_env)
+    for name, row in zip(COMMANDS, rows, strict=True):
         assert row == {"code": 0, "scipy": []}, name
-    crr, converge = report[len(SCIPY_FREE):]
-    assert crr["code"] == 0
-    assert "scipy.special" in crr["scipy"]
-    assert converge["code"] == 0
+    assert "scipy.special" in control["scipy"]
 
 
 def test_readme_library_example(tmp_path, child_env):
