@@ -238,16 +238,23 @@ def mc_price(
                        paired=True)
     pairs = cfg.n_paths // 2
     results = []
-    for terminal in deque(walk, maxlen=1).pop():
-        payoffs = payoff(underlying_value(terminal, contract), contract)
-        pair_means = 0.5 * (payoffs[:pairs] + payoffs[pairs:])
-        price = discount(float(np.mean(pair_means)), contract.rate_r, contract.expiry_T)
-        spread = discount(float(np.std(pair_means, ddof=1)), contract.rate_r, contract.expiry_T)
-        std_error = spread / math.sqrt(pairs)
-        half = 1.96 * std_error
-        results.append(
-            McResult(price=price, std_error=std_error, ci_low=price - half, ci_high=price + half)
-        )
+    # an overflow shows as a non-finite price or standard error, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for terminal in deque(walk, maxlen=1).pop():
+            payoffs = payoff(underlying_value(terminal, contract), contract)
+            pair_means = 0.5 * (payoffs[:pairs] + payoffs[pairs:])
+            price = discount(float(np.mean(pair_means)), contract.rate_r, contract.expiry_T)
+            spread = discount(float(np.std(pair_means, ddof=1)), contract.rate_r, contract.expiry_T)
+            std_error = spread / math.sqrt(pairs)
+            if not (math.isfinite(price) and math.isfinite(std_error)):
+                raise ValueError(
+                    f"the Monte Carlo price {price!r} or its standard error {std_error!r} "
+                    "is not finite"
+                )
+            half = 1.96 * std_error
+            results.append(
+                McResult(price=price, std_error=std_error, ci_low=price - half, ci_high=price + half)
+            )
     return results[0] if isinstance(sv, SvParams) else results
 
 
@@ -258,7 +265,15 @@ class Containment(Enum):
 
 
 def validate_lattice(lattice_price: float, mc: McResult) -> Containment:
-    """Locate the lattice price relative to the Monte Carlo 95% interval."""
+    """Locate the lattice price relative to the Monte Carlo 95% interval.
+
+    Raises ValueError if the price or a bound is NaN, which no interval contains.
+    """
+    if math.isnan(lattice_price) or math.isnan(mc.ci_low) or math.isnan(mc.ci_high):
+        raise ValueError(
+            f"cannot place lattice price {lattice_price!r} against the Monte Carlo interval "
+            f"[{mc.ci_low!r}, {mc.ci_high!r}]"
+        )
     if lattice_price < mc.ci_low:
         return Containment.BELOW
     if lattice_price > mc.ci_high:

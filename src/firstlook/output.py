@@ -12,10 +12,12 @@ import json
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
+_FORMATS = {int: "%d", float: "%.12g", None: ""}
+
 
 def _cell(value) -> str:
     if isinstance(value, float):
-        return f"{value:.12g}"
+        return _FORMATS[float] % value
     return "" if value is None else str(value)
 
 
@@ -24,6 +26,15 @@ def write_table(stream: IO[str], header: Sequence[str], rows: Iterable[Sequence]
     writer = csv.writer(stream)
     writer.writerow(header)
     writer.writerows([_cell(v) for v in row] for row in rows)
+
+
+def row_format(columns: Sequence[type | None]) -> str:
+    """``%`` template of one ``write_table`` row whose columns hold int, float or None.
+
+    A tuple of the row's int and float values, in order, fills it with the
+    bytes ``write_table`` writes for that row, at a fraction of the cost.
+    """
+    return ",".join(_FORMATS[column] for column in columns) + "\r\n"
 
 
 def _rounded(value):

@@ -281,6 +281,25 @@ class TestPrice:
         assert err.count("\n") == 1 and "inputs overflowed" in err
 
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "method,extra,message",
+        [
+            # exp(1e6 * rate) overflows the terminal prices, and inf * 0 is NaN
+            ("sv-lattice", ["--expiry", "1e6", "--rate", "1"], "the SV lattice price is not finite: nan"),
+            ("mc-euler", ["--expiry", "1e6", "--rate", "1e3"], "the Monte Carlo price nan or its"),
+            ("mc-euler", ["--spot", "1e308", "--ctr", "1"], "the Monte Carlo price inf or its"),
+        ],
+    )
+    def test_non_finite_price_exit_one(self, capsys, method, extra, message):
+        argv = ["price", "--method", method, "--spot", "5", "--strike", "0.1", "--expiry", "1",
+                "--steps", "20", "--paths", "1000", "--sigma0", "0.5", "--kappa", "3",
+                "--theta", "0.7", "--delta", "0.3", *extra]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and err.startswith(f"error: {message}")
+
+
 class TestConverge:
     def test_full_method_grid(self, capsys, tmp_path):
         out = tmp_path / "conv.csv"
@@ -548,6 +567,20 @@ class TestValidate:
             assert code == 0
         else:
             assert code == 1
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_prices_fail_the_sweep(self, capsys, tmp_path):
+        # the lattice and Monte Carlo prices are NaN here, which no interval contains
+        out = tmp_path / "v.csv"
+        code, stdout, err = run(capsys, [
+            "validate", "--spot", "5", "--strike", "0.1", "--expiry", "1e6", "--rate", "1",
+            "--steps", "20", "--sigma0", "0.5", "--kappa", "3", "--theta", "0.7", "--delta", "0.3",
+            "--param", "delta", "--lo", "0.2", "--hi", "0.3", "--points", "2", "--paths", "1000",
+            "--mc-steps", "10", "--output", str(out),
+        ])
+        assert (code, stdout) == (1, "")
+        assert err == "error: the SV lattice price is not finite: nan\n"
+        assert not out.exists()
 
     def test_param_choices_are_the_sv_parameters(self):
         commands = next(

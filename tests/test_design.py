@@ -88,3 +88,10 @@ def test_no_module_imports_scipy():
         if name.split(".")[0] == "scipy"
     ]
     assert offenders == []
+
+
+def test_only_output_rounds_numbers():
+    # every CSV cell and JSON float is rounded by output.py, so a 12-digit
+    # format elsewhere would be a second rounding rule
+    holders = [path.name for path in sorted(PACKAGE.glob("*.py")) if ".12g" in path.read_text()]
+    assert holders == ["output.py"]

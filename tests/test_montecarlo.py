@@ -131,6 +131,20 @@ class TestMcPrice:
         assert r.ci_low <= r.price <= r.ci_high
         assert r.ci_high - r.price == pytest.approx(1.96 * r.std_error, rel=1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "spot,rate,expiry,ctr,message",
+        # a NaN price; a finite price near the float limit whose pair spread overflows
+        [(20.0, 1e3, 1e6, 0.03, "nan or its standard error nan"),
+         (1e308, 0.05, 31 / 365, 1.0, "1.00121561963958\\d*e\\+305 or its standard error inf")],
+        ids=["nan", "overflow"],
+    )
+    def test_non_finite_result_refused(self, spot, rate, expiry, ctr, message):
+        c = OptionContract(strike=0.1, expiry_T=expiry, rate_r=rate, steps_n=10, ctr=ctr)
+        sv = replace(BASE_SV, spot_M0=spot)
+        with pytest.raises(ValueError, match=f"^the Monte Carlo price {message} is not finite$"):
+            mc_price(sv, c, McConfig(Scheme.EULER, 1000, 10, seed=1))
+
     def test_strike_zero_martingale(self):
         c = OptionContract(strike=0.0, expiry_T=31 / 365, rate_r=0.05, steps_n=50, ctr=0.3)
         sv = SvParams(spot_M0=2.0, sigma0=0.5, kappa=3.0, theta=0.75, delta=0.35)
@@ -273,6 +287,15 @@ class TestValidation:
     def test_below(self):
         r = self.result(0.5)
         assert validate_lattice(r.ci_low - 1e-9, r) is Containment.BELOW
+
+    @pytest.mark.parametrize("field", ["price", "ci_low", "ci_high"])
+    def test_nan_is_never_contained(self, field):
+        r = self.result(0.5)
+        lattice = math.nan if field == "price" else 0.5
+        if field != "price":
+            r = replace(r, **{field: math.nan})
+        with pytest.raises(ValueError, match="^cannot place lattice price"):
+            validate_lattice(lattice, r)
 
     def test_sweep_rows_and_csv(self, tmp_path):
         cfg = McConfig(Scheme.EULER, n_paths=20000, steps=50, seed=42)

@@ -3,6 +3,7 @@ import io
 import math
 import re
 import tracemalloc
+from collections import deque
 from dataclasses import fields, replace
 
 import numpy as np
@@ -13,14 +14,15 @@ from firstlook.gbm_lattice import LatticeMethod, MethodKind, binomial_price_sum,
 from firstlook.sv_lattice import (
     MAX_SV_STEPS,
     _backward_values,
+    _chunk_levels,
     build_censored_lattice,
-    censored_transition,
     lattice_to_csv,
     nearest_grid_index,
     price_sv_option,
     vol_mean_path,
     walk_levels,
 )
+from walk_oracle import censored_transition, oracle_levels
 
 # empirical SSP-slot configuration: two-week option on a 0.7417 CPM slot
 SSP_SV = SvParams(spot_M0=0.7417, sigma0=0.8723, kappa=96.4953, theta=0.2959, delta=14.9874)
@@ -197,6 +199,89 @@ class TestBuild:
         message = f"grid index does not fit in int64 while building level {level}, volatility {sigma!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build_censored_lattice(sv, c)
+
+
+def chunk_edges(count):
+    """The first ``count`` levels at which ``walk_levels`` starts a new chunk."""
+    edges, k0 = [], 0
+    while len(edges) < count:
+        k0 += _chunk_levels(k0, MAX_SV_STEPS)
+        edges.append(k0)
+    return edges
+
+
+def same_bits(a, b):
+    if a is None or b is None:
+        return a is b
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and np.array_equal(a.view(np.uint64), b.view(np.uint64)))
+
+
+def walk_outcome(levels):
+    """Levels yielded before the walk ended, and its ValueError message or None."""
+    count = 0
+    try:
+        for _ in levels:
+            count += 1
+    except ValueError as exc:
+        return count, str(exc)
+    return count, None
+
+
+class TestChunkedWalk:
+    """``walk_levels`` against the level-at-a-time walk in ``walk_oracle``."""
+
+    EDGES = chunk_edges(2)
+    STEPS = [1, *(e + d for e in EDGES for d in (-1, 0, 1)), 3000, MAX_SV_STEPS]
+
+    def test_edges_are_chunk_boundaries(self):
+        assert self.EDGES == [90, 145]
+
+    @pytest.mark.parametrize("n", STEPS)
+    def test_every_level_bit_for_bit(self, n):
+        rng = np.random.default_rng(20261019 + n)
+        sv = SvParams(
+            spot_M0=float(rng.uniform(0.1, 30.0)),
+            sigma0=float(rng.uniform(0.1, 1.5)),
+            kappa=float(rng.uniform(0.0, 100.0)),
+            theta=float(rng.uniform(0.0, 1.5)),
+            delta=float(rng.uniform(0.0, 15.0)),
+        )
+        c = OptionContract(strike=0.03, expiry_T=float(rng.uniform(0.01, 0.5)),
+                           rate_r=float(rng.uniform(0.0, 0.1)), steps_n=n, ctr=0.03)
+        # in lockstep, so that at most a chunk of either walk is alive
+        walked = 0
+        for level, expected in zip(walk_levels(sv, c), oracle_levels(sv, c), strict=True):
+            assert all(same_bits(a, b) for a, b in zip(level, expected, strict=True)), walked
+            walked += 1
+        assert walked == n + 1
+
+    def test_terminal_level_is_fresh(self):
+        # np.dot's bits depend on its operands' alignment, so the terminal
+        # level must not be a view into a chunk
+        x, q, *_ = deque(walk_levels(SSP_SV, replace(SSP_CONTRACT, steps_n=200)), maxlen=1).pop()
+        assert x.base is None and q.base is None
+
+    @pytest.mark.parametrize(
+        "sv,contract,message",
+        [
+            # the spacing shrinks as exp(-90 t), so the top grid index outgrows int64
+            (SvParams(spot_M0=5.0, sigma0=0.5, kappa=90.0, theta=0.0, delta=0.1),
+             OptionContract(strike=0.1, expiry_T=1.0, rate_r=0.05, steps_n=200, ctr=0.03),
+             "grid index does not fit in int64 while building level 95, "
+             "volatility 1.3579410059460312e-19"),
+            # the rate cancels the drift, and the grid walks 3e306 per level out of range
+            (SvParams(spot_M0=5.0, sigma0=1e154, kappa=0.0, theta=0.0, delta=0.1),
+             OptionContract(strike=0.1, expiry_T=4.4e306, rate_r=0.5 * 1e154 * 1e154,
+                            steps_n=200, ctr=0.03),
+             "non-finite x while building level 122, node 0"),
+        ],
+        ids=["int64", "non-finite"],
+    )
+    def test_fault_past_the_first_chunk(self, sv, contract, message):
+        outcome = walk_outcome(walk_levels(sv, contract))
+        assert outcome == walk_outcome(oracle_levels(sv, contract))
+        assert outcome[1] == message and outcome[0] > self.EDGES[0]
 
 
 class TestPricing:
