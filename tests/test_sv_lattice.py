@@ -15,6 +15,7 @@ from firstlook.sv_lattice import (
     MAX_SV_STEPS,
     _backward_values,
     _chunk_levels,
+    _walk_chunk,
     build_censored_lattice,
     lattice_to_csv,
     nearest_grid_index,
@@ -255,6 +256,18 @@ class TestChunkedWalk:
             assert all(same_bits(a, b) for a, b in zip(level, expected, strict=True)), walked
             walked += 1
         assert walked == n + 1
+
+    @pytest.mark.parametrize("bad", [None, "x", "q"])
+    def test_chunk_sum_sees_every_fault(self, bad):
+        # an infinite x on entry shows only in K, which censoring absorbs, and
+        # a NaN mass only in the masses; the grid recurs finite from the steps
+        x, q = np.array([0.1, -0.1]), np.array([0.5, 0.5])
+        if bad is not None:
+            {"x": x, "q": q}[bad][1] = {"x": math.inf, "q": math.nan}[bad]
+        steps = [(0, 0.1, 0.001), (1, 0.1, 0.001)]
+        levels, x_next, q_next, finite = _walk_chunk(1, steps, 2 * np.arange(4), x, q)
+        assert np.isfinite(x_next).all()
+        assert finite is (bad is None)
 
     def test_terminal_level_is_fresh(self):
         # np.dot's bits depend on its operands' alignment, so the terminal
