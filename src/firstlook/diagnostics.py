@@ -337,7 +337,10 @@ def estimate_sv(series: PriceSeries, window: int = 7) -> SvParams:
     """Two-stage estimate: realized-vol proxy, then mean-reversion regression.
 
     The volatility increments are regressed on the level to recover the
-    reversion speed and long-run mean. The noise coefficient comes from
+    reversion speed and long-run mean, by centred closed-form least squares
+    (slope = sum((x - mean x)(y - mean y)) / sum((x - mean x)^2)), which
+    needs no LAPACK; the level's spread is checked first, so the
+    denominator is not zero. The noise coefficient comes from
     the long-run variance of the increments, normalized by the mean level
     and the step: the rolling-window proxy adds serially-dependent
     measurement noise (windows overlap), and a plain residual scale would
@@ -357,10 +360,14 @@ def estimate_sv(series: PriceSeries, window: int = 7) -> SvParams:
     dvol = np.diff(vol)
     if np.ptp(level) < 1e-12:
         raise ValueError("degenerate regression: realized volatility is constant")
-    slope, intercept = np.polyfit(level, dvol, 1)
-    kappa = -float(slope) / dt
+    level_mean = float(np.mean(level))
+    dvol_mean = float(np.mean(dvol))
+    centred = level - level_mean
+    slope = float(centred @ (dvol - dvol_mean)) / float(centred @ centred)
+    intercept = dvol_mean - slope * level_mean
+    kappa = -slope / dt
     if kappa > 0:
-        theta = max(float(intercept) / (kappa * dt), 0.0)
+        theta = max(intercept / (kappa * dt), 0.0)
     else:
         kappa = 0.0
         theta = float(np.mean(vol))
@@ -375,6 +382,20 @@ def estimate_sv(series: PriceSeries, window: int = 7) -> SvParams:
     return SvParams(
         spot_M0=series.prices[-1], sigma0=sigma0, kappa=kappa, theta=theta, delta=delta
     )
+
+
+def _median(values: Sequence[float]) -> float:
+    """Median by a full sort, bit for bit ``np.median`` without its
+    ``numpy.ma`` import: NaN if any value is NaN (the sort puts NaN last),
+    else the mean of the middle value or two as ``np.mean`` forms it, a
+    sum from +0.0 (so a -0.0 sum reads +0.0) over the count."""
+    ordered = np.sort(np.asarray(values, dtype=float))
+    if math.isnan(ordered[-1]):
+        return math.nan
+    half = ordered.size // 2
+    if ordered.size % 2:
+        return 0.0 + float(ordered[half])
+    return (0.0 + float(ordered[half - 1]) + float(ordered[half])) / 2
 
 
 def l2_fitness(actual: np.ndarray, simulated: np.ndarray) -> tuple[float, float]:
@@ -404,7 +425,9 @@ def fitness_comparison(actual: PriceSeries, n_instances: int, seed: int) -> Fitn
 
     Each model is fitted on the whole series, re-simulated from the first
     price ``n_instances`` times under the estimated real-world drift, and
-    scored by the median distance to the actual path.
+    scored by the median distance to the actual path. One model's paths
+    are scored before the other's are drawn, so one path matrix is alive
+    at a time.
     """
     if n_instances < 1:
         raise ValueError(f"n_instances must be >= 1, got {n_instances}")
@@ -413,20 +436,17 @@ def fitness_comparison(actual: PriceSeries, n_instances: int, seed: int) -> Fitn
     steps = len(actual) - 1
     dt = actual.dt
     spot = actual.prices[0]
-    gbm_paths = montecarlo.sample_paths(
-        replace(gbm, spot_M0=spot).as_sv(), gbm.mu, dt, steps, n_instances, Scheme.EULER, seed
-    )
-    sv_paths = montecarlo.sample_paths(
-        replace(sv, spot_M0=spot), gbm.mu, dt, steps, n_instances, Scheme.EULER, seed + 1
-    )
     target = actual.values
 
-    def median_l2(paths: np.ndarray) -> tuple[float, float]:
+    def median_l2(params: SvParams, path_seed: int) -> tuple[float, float]:
+        paths = montecarlo.sample_paths(
+            params, gbm.mu, dt, steps, n_instances, Scheme.EULER, path_seed
+        )
         raws, smooths = zip(*(l2_fitness(target, row) for row in paths))
-        return float(np.median(raws)), float(np.median(smooths))
+        return _median(raws), _median(smooths)
 
-    gbm_raw, gbm_smoothed = median_l2(gbm_paths)
-    sv_raw, sv_smoothed = median_l2(sv_paths)
+    gbm_raw, gbm_smoothed = median_l2(replace(gbm, spot_M0=spot).as_sv(), seed)
+    sv_raw, sv_smoothed = median_l2(replace(sv, spot_M0=spot), seed + 1)
     return FitnessComparison(
         gbm_raw=gbm_raw, gbm_smoothed=gbm_smoothed, sv_raw=sv_raw, sv_smoothed=sv_smoothed
     )

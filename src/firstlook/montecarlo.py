@@ -86,13 +86,17 @@ def advance(
     eps_vol: np.ndarray,
     scheme: Scheme,
     scratch: np.ndarray,
+    antithetic: bool,
 ) -> None:
     """One step of (price, volatility) for every path, in place.
 
     The ufuncs run in the order of
     m * exp((drift - 0.5 * sigma * sigma) * dt + sigma * sqrt(dt) * eps_price) and
     sigma + kappa * (theta - sigma) * dt + delta * sqrt(sigma * dt) * eps_vol,
-    so a path's numbers do not depend on the array it sits in. Milstein
+    so a path's numbers do not depend on the array it sits in. Antithetic,
+    the step subtracts the two shock terms instead of adding them: IEEE
+    negation is exact, x * -e is -(x * e) and b + -c is b - c, so this is
+    bit for bit the step on the negated normals, and (-e)^2 is e^2. Milstein
     adds the second-order volatility correction to the Euler step; the
     volatility is floored at zero afterwards. ``scratch`` holds three
     arrays shaped like ``m``, so that no ufunc but the last price update
@@ -100,13 +104,14 @@ def advance(
     more than the arithmetic of a few paths.
     """
     a, b, c = scratch
+    shock = np.subtract if antithetic else np.add
     np.multiply(0.5, sigma, out=a)
     np.multiply(a, sigma, out=b)
     np.subtract(drift, b, out=a)
     np.multiply(a, dt, out=b)
     np.multiply(sigma, math.sqrt(dt), out=a)
     np.multiply(a, eps_price, out=c)
-    np.add(b, c, out=a)
+    shock(b, c, out=a)
     np.exp(a, out=b)
     np.multiply(m, b, out=m)
     np.subtract(sv.theta, sigma, out=a)
@@ -117,7 +122,7 @@ def advance(
     np.sqrt(a, out=c)
     np.multiply(sv.delta, c, out=a)
     np.multiply(a, eps_vol, out=c)
-    np.add(b, c, out=a)
+    shock(b, c, out=a)
     if scheme is Scheme.MILSTEIN:
         np.multiply(eps_vol, eps_vol, out=b)
         np.subtract(b, 1.0, out=c)
@@ -156,7 +161,8 @@ def _walk_paths(
     while a step has fewer than ``PATH_BLOCK`` paths. Paired, normals are
     drawn for the first ``n_paths // 2`` paths only, and path
     ``i + n_paths // 2`` walks path ``i``'s normals negated (antithetic
-    pairs), so the first half is the unpaired walk of ``n_paths // 2`` paths.
+    pairs; ``advance`` subtracts their shocks, so no negated copy is made),
+    so the first half is the unpaired walk of ``n_paths // 2`` paths.
     """
     rng = _generator(seed)
     m = np.empty((len(points), n_paths))
@@ -168,32 +174,26 @@ def _walk_paths(
     per_draw = max(1, min(steps, PATH_BLOCK // drawn_paths))
     eps = np.empty((per_draw, 2, drawn_paths))
     scratch = np.empty((3, min(drawn_paths, PATH_BLOCK)))
-    # (first path, buffer for the negated normals or None) of each half; a
-    # block's antithetic half steps right after it, while its normals are in cache
-    halves = [(0, None)]
-    if paired:
-        halves.append((drawn_paths, np.empty((2, min(drawn_paths, PATH_BLOCK)))))
+    # (first path, antithetic sign) of each half; a block's antithetic half
+    # steps right after it, while its normals are in cache
+    halves = [(0, False), (drawn_paths, True)] if paired else [(0, False)]
     blocks = []
     for j in range(0, drawn_paths, PATH_BLOCK):
         width = min(PATH_BLOCK, drawn_paths - j)
-        for offset, negation in halves:
+        for offset, antithetic in halves:
             state = slice(offset + j, offset + j + width)
             states = [(m[p, state], sigma[p, state], sv) for p, sv in enumerate(points)]
-            negated = None if negation is None else negation[:, :width]
-            blocks.append((slice(j, j + width), negated, scratch[:, :width], states))
+            blocks.append((slice(j, j + width), antithetic, scratch[:, :width], states))
     yield m
     for done in range(0, steps, per_draw):
         drawn = eps[: min(per_draw, steps - done)]
         rng.standard_normal(out=drawn)
         for step_eps in drawn:
-            for block, negated, block_scratch, states in blocks:
-                block_eps = step_eps[:, block]
-                if negated is not None:
-                    block_eps = np.negative(block_eps, out=negated)
-                block_price, block_vol = block_eps
+            for block, antithetic, block_scratch, states in blocks:
+                block_price, block_vol = step_eps[:, block]
                 for m_block, sigma_block, sv in states:
                     advance(m_block, sigma_block, dt, drift, sv, block_price, block_vol,
-                            scheme, block_scratch)
+                            scheme, block_scratch, antithetic)
             yield m
 
 

@@ -8,6 +8,7 @@ from scipy import special, stats
 from firstlook.contracts import SvParams
 from firstlook.diagnostics import (
     PriceSeries,
+    _median,
     acf,
     chi2_upper,
     estimate_gbm,
@@ -21,6 +22,7 @@ from firstlook.diagnostics import (
     realized_vol,
     shapiro_wilk,
 )
+from firstlook.market_sim import synthetic_market
 from firstlook.montecarlo import Scheme, sample_paths
 
 # 20-point sample with R-computed Shapiro-Wilk reference (fBasics / shapiro.test)
@@ -61,6 +63,15 @@ AR_60 = [
     -0.681635, -0.705233, -0.333121, -1.013100, 0.483455, 1.180266, 2.580652,
     3.070688, 1.808845, -0.765311, -1.197768,
 ]
+
+
+MARKET_SV = SvParams(spot_M0=1.5, sigma0=0.5, kappa=3.0, theta=0.6, delta=0.3)
+
+
+def market_series(seed):
+    """The spot and 365 daily average CPMs of a seeded synthetic market."""
+    days = synthetic_market(MARKET_SV, 0.2, 365, 8000, seed)
+    return PriceSeries.from_prices([MARKET_SV.spot_M0] + [d.avg_cpm for d in days])
 
 
 def gbm_series(sigma=0.5, mu=0.1, n=31, seed=0, spot=2.0):
@@ -501,6 +512,17 @@ class TestEstimateSv:
         with pytest.raises(ValueError, match="degenerate"):
             estimate_sv(s, window=7)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_closed_form_fit_matches_polyfit(self, seed):
+        s = market_series(seed)
+        est = estimate_sv(s, window=7)
+        vol = realized_vol(s, window=7)
+        slope, intercept = np.polyfit(vol[:-1], np.diff(vol), 1)
+        kappa = -slope / s.dt
+        assert kappa > 0
+        assert est.kappa == pytest.approx(kappa, rel=1e-14, abs=0)
+        assert est.theta == pytest.approx(intercept / (kappa * s.dt), rel=1e-14, abs=0)
+
     def test_realized_vol_tracks_generator(self):
         s = gbm_series(sigma=0.6, n=400, seed=9)
         vol = realized_vol(s, window=30)
@@ -540,3 +562,40 @@ class TestL2Fitness:
         assert cmp.gbm_smoothed <= cmp.gbm_raw * 1.5
         with pytest.raises(ValueError, match="n_instances must be >= 1"):
             fitness_comparison(PriceSeries.from_prices(path), n_instances=0, seed=42)
+
+    def test_fitness_comparison_frozen_values(self):
+        # captured with np.median as the median; a change to the path
+        # sampler, the fit or the scoring shows here
+        cmp = fitness_comparison(market_series(7), n_instances=300, seed=7)
+        assert [v.hex() for v in (cmp.gbm_raw, cmp.gbm_smoothed, cmp.sv_raw, cmp.sv_smoothed)] == [
+            "0x1.8ab42f9ed73bep+2", "0x1.86e1ba78c84f8p+2",
+            "0x1.7eef639176c44p+2", "0x1.7b230e8ddb9c3p+2",
+        ]
+
+
+class TestMedian:
+    """``_median`` against ``np.median``, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 299, 300])
+    def test_matches_numpy(self, n):
+        values = np.random.default_rng(n).standard_normal(n) * 10.0 ** (np.arange(n) % 7)
+        assert _median(list(values)).hex() == float(np.median(values)).hex()
+
+    @pytest.mark.parametrize("values", [
+        [2.0, 2.0, 1.0, 2.0],
+        [3.0, 1.0, 3.0, 1.0],
+        [0.1, 0.2],
+        [1e308, 1e308],
+        [-0.0],
+        [-0.0, -0.0],
+        [0.0, -0.0, -0.0],
+        [math.inf, 1.0],
+        [-math.inf, math.inf],
+        [-math.inf, -math.inf, 5.0],
+        [1.0, math.nan, 2.0],
+        [math.nan, math.inf],
+    ])
+    def test_ties_infinities_zeros_and_nan(self, values):
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = float(np.median(values))
+        assert _median(values).hex() == expected.hex()

@@ -43,7 +43,7 @@ def step(state, dt, sv, normals, scheme=Scheme.EULER, rate=0.05):
     """One step of the kernel the pricers run, on 1-element arrays."""
     m, sigma = (np.array([x], dtype=float) for x in state)
     eps_price, eps_vol = (np.array([x], dtype=float) for x in normals)
-    advance(m, sigma, dt, rate, sv, eps_price, eps_vol, scheme, np.empty((3, 1)))
+    advance(m, sigma, dt, rate, sv, eps_price, eps_vol, scheme, np.empty((3, 1)), False)
     return float(m[0]), float(sigma[0])
 
 
@@ -109,9 +109,23 @@ class TestSteps:
         eps_price = np.array([0.7, -1.2, 0.0])
         eps_vol = np.array([-0.3, 2.0, 1.0])
         m, sigma = np.full(3, 20.0), np.full(3, 0.5)
-        advance(m, sigma, 0.01, 0.05, BASE_SV, eps_price, eps_vol, scheme, np.empty((3, 3)))
+        advance(m, sigma, 0.01, 0.05, BASE_SV, eps_price, eps_vol, scheme, np.empty((3, 3)),
+                False)
         for i in range(3):
             assert (m[i], sigma[i]) == step((20.0, 0.5), 0.01, BASE_SV, (eps_price[i], eps_vol[i]), scheme)
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_antithetic_step_is_the_step_on_negated_normals(self, scheme):
+        # bit for bit, signed zeros included
+        eps_price = np.array([0.7, -1.2, 0.0, -0.0, 3.1, -2.5])
+        eps_vol = np.array([-0.3, 2.0, 1.0, 0.0, -0.0, -4.0])
+        sigma0 = np.array([0.5, 0.0, 0.2, 0.5, 0.0, 1.5])
+        states = []
+        for eps, antithetic in (((eps_price, eps_vol), True), ((-eps_price, -eps_vol), False)):
+            m, sigma = np.full(6, 20.0), sigma0.copy()
+            advance(m, sigma, 0.01, 0.05, BASE_SV, *eps, scheme, np.empty((3, 6)), antithetic)
+            states.append([float(v).hex() for v in (*m, *sigma)])
+        assert states[0] == states[1]
 
 
 class TestMcPrice:
@@ -213,7 +227,7 @@ def walk_on(normals, sv, drift, dt, scheme):
     n = normals.shape[2]
     m, sigma = np.full(n, sv.spot_M0), np.full(n, sv.sigma0)
     for eps_price, eps_vol in normals:
-        advance(m, sigma, dt, drift, sv, eps_price, eps_vol, scheme, np.empty((3, n)))
+        advance(m, sigma, dt, drift, sv, eps_price, eps_vol, scheme, np.empty((3, n)), False)
     return m
 
 

@@ -1,11 +1,15 @@
-"""Fresh-interpreter checks: what the CLI imports, and the README example.
+"""Fresh-interpreter checks: what the CLI and a market replay import, and
+the README example.
 
-scipy is a test oracle only: ``scipy.special`` takes about a quarter of a
-second and 26 MB to import, and every CLI command runs in a fresh
-process, so no command may load any scipy module. One new interpreter
-runs every command in turn and reports the scipy modules loaded after
-each; it then imports ``scipy.special`` itself and reports again, the
-positive control that shows the probe sees an import.
+Some modules cost start-up time or memory that no run needs, so none of
+them may load: scipy is a test oracle only (``scipy.special`` takes about
+a quarter of a second and 26 MB to import, and every CLI command runs in
+a fresh process), and ``numpy.ma``, which ``np.median`` imports on its
+first call, adds about 1.6 MB to a run. One new interpreter runs its
+steps in turn, each a CLI command or a snippet of library code, and
+reports the forbidden modules loaded after each; each forbidden entry
+then gets its own positive control, a step that imports it, which shows
+the probe sees an import.
 """
 
 import json
@@ -18,21 +22,40 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+# each forbidden package, and the module its positive control imports
+FORBIDDEN = {"numpy.ma": "numpy.ma", "scipy": "scipy.special"}
+NONE_LOADED = {name: [] for name in FORBIDDEN}
+
 PROBE = """
-import contextlib, importlib, io, json, sys
+import contextlib, io, json, sys
 from firstlook.cli import main
 
-def scipy_loaded():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+forbidden, steps = json.loads(sys.argv[1])
+
+def loaded():
+    return {
+        name: sorted(m for m in sys.modules if m == name or m.startswith(name + "."))
+        for name in forbidden
+    }
 
 report = []
-for argv in json.loads(sys.argv[1]):
+for step in steps:
     with contextlib.redirect_stdout(io.StringIO()):
-        code = main(argv)
-    report.append({"code": code, "scipy": scipy_loaded()})
-importlib.import_module("scipy.special")
-report.append({"code": None, "scipy": scipy_loaded()})
+        code = main(step) if isinstance(step, list) else exec(step)
+    report.append({"code": code, "loaded": loaded()})
 print(json.dumps(report))
+"""
+
+# experiment (i) on a seeded year of synthetic market
+MARKET_REPLAY = """
+from firstlook import diagnostics, market_sim
+from firstlook.contracts import SvParams
+sv = SvParams(spot_M0=1.5, sigma0=0.5, kappa=3.0, theta=0.6, delta=0.3)
+days = market_sim.synthetic_market(sv, 0.2, 365, 8000, 7)
+series = diagnostics.PriceSeries.from_prices([sv.spot_M0] + [d.avg_cpm for d in days])
+diagnostics.gbm_test(series)
+diagnostics.estimate_sv(series)
+diagnostics.fitness_comparison(series, n_instances=300, seed=7)
 """
 
 ITM = ["--spot", "2.0", "--strike", "0.005", "--ctr", "0.3", "--expiry", "0.085", "--sigma", "0.5"]
@@ -55,13 +78,22 @@ COMMANDS = {
 }
 
 
-def run_fresh(argvs, cwd, env):
+def run_fresh(steps, cwd, env):
+    """Reports of ``steps`` run in turn in one new interpreter.
+
+    Each forbidden entry's positive control runs after the steps and must
+    see its own import.
+    """
+    controls = [f"import {module}" for module in FORBIDDEN.values()]
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(argvs)],
+        [sys.executable, "-c", PROBE, json.dumps([list(FORBIDDEN), steps + controls])],
         capture_output=True, text=True, cwd=cwd, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
+    report = json.loads(proc.stdout.splitlines()[-1])
+    for (name, module), control in zip(FORBIDDEN.items(), report[len(steps) :], strict=True):
+        assert module in control["loaded"][name], name
+    return report[: len(steps)]
 
 
 def write_series(path):
@@ -72,12 +104,17 @@ def write_series(path):
     path.write_text("\n".join(lines) + "\n")
 
 
-def test_no_command_loads_scipy(tmp_path, child_env):
+def test_no_command_loads_a_forbidden_module(tmp_path, child_env):
     write_series(tmp_path / "series.csv")
-    *rows, control = run_fresh(list(COMMANDS.values()), tmp_path, child_env)
+    rows = run_fresh(list(COMMANDS.values()), tmp_path, child_env)
     for name, row in zip(COMMANDS, rows, strict=True):
-        assert row == {"code": 0, "scipy": []}, name
-    assert "scipy.special" in control["scipy"]
+        assert row == {"code": 0, "loaded": NONE_LOADED}, name
+
+
+def test_market_replay_loads_no_forbidden_module(tmp_path, child_env):
+    # fitness_comparison takes its medians without np.median
+    (row,) = run_fresh([MARKET_REPLAY], tmp_path, child_env)
+    assert row == {"code": None, "loaded": NONE_LOADED}
 
 
 def test_readme_library_example(tmp_path, child_env):
