@@ -8,12 +8,14 @@ strikes are never compared on different scales.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
 
 DAYS_PER_YEAR = 365.0
+LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 class StrikeBasis(Enum):
@@ -147,6 +149,16 @@ def payoff(value, contract: OptionContract):
     Accepts numpy arrays as well as scalars.
     """
     return np.maximum(value - contract.strike, 0.0)
+
+
+def terminal_payoff(log_values: np.ndarray, top: float, contract: OptionContract) -> np.ndarray:
+    """Payoffs at a lattice's log terminal values, which are on the strike's basis;
+    ``top`` is the lattice's highest log terminal value. Raises OverflowError
+    if exp(top) overflows a float."""
+    # np.exp would turn an overflow into inf and a RuntimeWarning, where math.exp raises
+    if top > LOG_FLOAT_MAX:
+        raise OverflowError(f"terminal value exp({top:.6g}) overflows a float")
+    return payoff(np.exp(log_values), contract)
 
 
 def discount(value, rate_r: float, horizon: float):

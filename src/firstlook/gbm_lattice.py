@@ -16,11 +16,10 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .contracts import GbmParams, OptionContract, discount, payoff, underlying_value
+from .contracts import GbmParams, OptionContract, discount, terminal_payoff, underlying_value
 from .output import write_table
 
 DEFAULT_STRETCH = math.sqrt(1.5)
-LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 class MethodKind(Enum):
@@ -96,6 +95,10 @@ def movement_params(
     Raises ValueError when the requested parameterization's moves do not
     spread apart or give a transition probability outside [0, 1];
     probabilities are never clamped.
+
+    Kamrad-Ritchken's probabilities match the moments of the log price,
+    not of the price, so its forward is off by O(dt) over the horizon and
+    deep in-the-money calls price below max(S - K e^-rT, 0) by O(dt).
     """
     if sigma <= 0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
@@ -149,14 +152,21 @@ def movement_params(
         return MoveSpec(u=u, d=d, q1=q1, q2=q2, m=1.0, q3=q3)
 
     if kind is MethodKind.TIAN_TRIN:
+        # u, d = w +- sqrt(w^2 - m^2) with w = g (z^4 + z^3) / 2. The gaps between
+        # u, m, d and g come from a = z - 1 directly, so no O(1) terms cancel
+        a = math.expm1(sigma * sigma * dt)
         m = g * z * z
-        w = 0.5 * g * (z**4 + z**3)
-        root = math.sqrt(w * w - m * m)
-        u = w + root
-        d = w - root
+        m_g = g * a * (z + 1.0)  # m - g
+        w_m = 0.5 * g * z * z * a * (z + 2.0)  # w - m
+        root = math.sqrt(w_m * (w_m + 2.0 * m))
+        u_m = w_m + root
+        m_d = root - w_m
+        u = m + u_m
+        d = m - m_d
         _check_spread(kind, u, m, d)
-        q1 = (m * d - g * (m + d) + g * g * z) / ((u - d) * (u - m))
-        q3 = (u * m - g * (u + m) + g * g * z) / ((u - d) * (m - d))
+        # the numerators are (m - g)(d - g) + g^2 a and (u - g)(m - g) + g^2 a
+        q1 = (g * g * a - m_g * (m_d - m_g)) / (2.0 * root * u_m)
+        q3 = (g * g * a + (u_m + m_g) * m_g) / (2.0 * root * m_d)
         # q2 by normalization: the explicit form cancels badly at small dt
         q2 = 1.0 - q1 - q3
         _check_probs(kind, q1=q1, q2=q2, q3=q3)
@@ -185,15 +195,6 @@ def _binomial_step(
 def _binomial_log_values(spot: float, move: MoveSpec, n: int, j: int | np.ndarray):
     """Log terminal underlying values at binomial nodes ``j``; they ascend with j."""
     return math.log(spot) + j * math.log(move.u) + (n - j) * math.log(move.d)
-
-
-def _terminal_payoff(log_values: np.ndarray, top: float, contract: OptionContract) -> np.ndarray:
-    """Payoffs at the log terminal values, which are on the strike's basis;
-    ``top`` is the lattice's highest log terminal value."""
-    # np.exp would turn an overflow into inf and a RuntimeWarning, where math.exp raises
-    if top > LOG_FLOAT_MAX:
-        raise OverflowError(f"terminal value exp({top:.6g}) overflows a float")
-    return payoff(np.exp(log_values), contract)
 
 
 def _exercise_boundary(spot: float, move: MoveSpec, n: int, strike: float) -> int:
@@ -332,7 +333,7 @@ def binomial_price_sum(
     n, q = contract.steps_n, move.q1
     first, last = _binomial_window(n, q)
     j = np.arange(max(first, _exercise_boundary(spot, move, n, contract.strike)), last + 1)
-    intrinsic = _terminal_payoff(
+    intrinsic = terminal_payoff(
         _binomial_log_values(spot, move, n, j), _binomial_log_values(spot, move, n, n), contract
     )
     return _discounted_sum(_binomial_log_weights(n, q, j), intrinsic, contract)
@@ -438,7 +439,7 @@ def trinomial_price(
     spot = underlying_value(params.spot_M0, contract)
     j = np.arange(-n, n + 1)
     log_terminal = math.log(spot) + n * math.log(move.m) + j * math.log(move.u / move.m)
-    intrinsic = _terminal_payoff(log_terminal, log_terminal[-1], contract)
+    intrinsic = terminal_payoff(log_terminal, log_terminal[-1], contract)
     log_weight = _trinomial_log_weights(n, move.q1, move.q2, move.q3)
     return _discounted_sum(log_weight, intrinsic, contract)
 

@@ -23,7 +23,7 @@ from typing import IO, Iterator
 
 import numpy as np
 
-from .contracts import OptionContract, SvParams, discount, payoff, underlying_value
+from .contracts import OptionContract, SvParams, discount, terminal_payoff, underlying_value
 from .output import row_format, write_table
 
 # the build holds one chunk of levels at a time, so memory is O(n) while time
@@ -198,13 +198,6 @@ def build_censored_lattice(params: SvParams, contract: OptionContract) -> SvLatt
     return SvLattice(params, contract, x, q)
 
 
-def _terminal_payoff(lattice: SvLattice) -> np.ndarray:
-    # an overflow shows as inf or NaN, which price_sv_option refuses
-    with np.errstate(over="ignore", invalid="ignore"):
-        terminal_cpm = lattice.params.spot_M0 * np.exp(lattice.x)
-        return payoff(underlying_value(terminal_cpm, lattice.contract), lattice.contract)
-
-
 @dataclass(frozen=True)
 class SvPriceResult:
     """``price`` is the discounted expected terminal payoff."""
@@ -215,10 +208,12 @@ class SvPriceResult:
 def price_sv_option(lattice: SvLattice) -> SvPriceResult:
     """Discounted expected terminal payoff over the terminal node mass.
 
-    Raises ValueError if the price is not finite.
+    Raises OverflowError if the top terminal value overflows a float, and
+    ValueError if the price is not finite.
     """
     contract = lattice.contract
-    expected = float(np.dot(lattice.q, _terminal_payoff(lattice)))
+    log_values = math.log(underlying_value(lattice.params.spot_M0, contract)) + lattice.x
+    expected = float(np.dot(lattice.q, terminal_payoff(log_values, log_values[0], contract)))
     price = discount(expected, contract.rate_r, contract.expiry_T)
     if not math.isfinite(price):
         raise ValueError(f"the SV lattice price is not finite: {price!r}")
@@ -233,7 +228,8 @@ def _backward_values(lattice: SvLattice, levels: list[tuple]) -> list[np.ndarray
     """
     n = lattice.contract.steps_n
     values = [np.empty(0)] * (n + 1)
-    values[n] = _terminal_payoff(lattice)
+    log_values = math.log(underlying_value(lattice.params.spot_M0, lattice.contract)) + lattice.x
+    values[n] = terminal_payoff(log_values, log_values[0], lattice.contract)
     step_disc = discount(1.0, lattice.contract.rate_r, lattice.contract.dt)
     for k in range(n - 1, -1, -1):
         _, q, _, _, q_up, _ = levels[k]

@@ -105,7 +105,7 @@ class TestPrice:
             # so small a sigma rounds the moves onto each other
             *((m, ["--expiry", "0.085", "--sigma", "1e-300"], "the moves")
               for m in ("crr", "tian-bin", "haahtela", "boyle-trin", "tian-trin")),
-            ("tian-trin", ["--expiry", "0.085", "--sigma", "1e-9"], "the moves"),
+            ("tian-trin", ["--expiry", "0.085", "--sigma", "1e-15"], "the moves"),
         ],
     )
     def test_computational_failure_exit_one(self, capsys, method, extra, message):
@@ -285,8 +285,10 @@ class TestPrice:
     @pytest.mark.parametrize(
         "method,extra,message",
         [
-            # exp(1e6 * rate) overflows the terminal prices, and inf * 0 is NaN
-            ("sv-lattice", ["--expiry", "1e6", "--rate", "1"], "the SV lattice price is not finite: nan"),
+            # exp(1e6 * rate) overflows the terminal prices: the lattice refuses its top
+            # node, and in Monte Carlo inf * 0 is NaN
+            ("sv-lattice", ["--expiry", "1e6", "--rate", "1"],
+             "the inputs overflowed (terminal value exp(757606) overflows a float)"),
             ("mc-euler", ["--expiry", "1e6", "--rate", "1e3"], "the Monte Carlo price nan or its"),
             ("mc-euler", ["--spot", "1e308", "--ctr", "1"], "the Monte Carlo price inf or its"),
         ],
@@ -298,6 +300,21 @@ class TestPrice:
         code, out, err = run(capsys, argv)
         assert (code, out) == (1, "")
         assert err.count("\n") == 1 and err.startswith(f"error: {message}")
+
+    @pytest.mark.filterwarnings("error")
+    def test_top_cpm_pays_on_the_strike_basis(self, capsys):
+        # 1e308 CPM is 1e305 per click: every lattice converts before exp, so none overflows
+        prices = {}
+        for method in ("closed", "crr", "sv-lattice"):
+            code, out, err = run(capsys, [
+                "price", "--method", method, "--spot", "1e308", "--ctr", "1", "--strike", "0.1",
+                "--expiry", "1", "--steps", "20", "--sigma", "0.5", "--sigma0", "0.5",
+                "--kappa", "3", "--theta", "0.7", "--delta", "0.3",
+            ])
+            assert (code, err) == (0, ""), method
+            prices[method] = json.loads(out)["price"]
+            assert math.isfinite(prices[method]), method
+        assert prices["sv-lattice"] == pytest.approx(prices["closed"], rel=0.01)
 
 
 class TestConverge:
@@ -570,7 +587,7 @@ class TestValidate:
 
     @pytest.mark.filterwarnings("error")
     def test_non_finite_prices_fail_the_sweep(self, capsys, tmp_path):
-        # the lattice and Monte Carlo prices are NaN here, which no interval contains
+        # the SV lattice's top terminal node overflows a float here
         out = tmp_path / "v.csv"
         code, stdout, err = run(capsys, [
             "validate", "--spot", "5", "--strike", "0.1", "--expiry", "1e6", "--rate", "1",
@@ -579,7 +596,7 @@ class TestValidate:
             "--mc-steps", "10", "--output", str(out),
         ])
         assert (code, stdout) == (1, "")
-        assert err == "error: the SV lattice price is not finite: nan\n"
+        assert err == "error: the inputs overflowed (terminal value exp(757606) overflows a float)\n"
         assert not out.exists()
 
     def test_param_choices_are_the_sv_parameters(self):
@@ -876,12 +893,12 @@ class TestFrozenOutputs:
         ],
     }
     DIGESTS = {
-        "c11-converge": "d88a141287c2766803e4dcbf50619b754c3a775671b0fe32d385570c215f0212",
+        "c11-converge": "23e97daa5ff2ca6884aee57876b73177f967db9ba1731026772ae88d7f4b2a84",
         "c11-diagnose": "46445d3493a6a7d9d1f30e8a724eb1d5a5c8484e82f2941eb0f100cdd4f484c6",
         "c11-price": "d27b07b8a57f1870b54b511f14535d9258aeddff95b66fc09591c098f05e6293",
         "c11-simulate": "1fe0626f40e6f61fd1b7492a100c77501991314d2da16d13816fc09f12f0d7e6",
         "c11-validate": "16f0657d6d9de66145b8e999744f76fa1a26ea4faa32c2ccac21ab73fd80065a",
-        "converge-failing-rows": "93ddefe9314812e638f0af76f3fe40f1a82afd65cabfa14e975493a35b187fca",
+        "converge-failing-rows": "29f5da9f97d99cf68365b9ff31760ac716dd2951b04c6ba330b95d8b5fef74a9",
         "diagnose-options": "02af90e6a10fbc2e2f9ba9c3e59698d0979b6127ecfecb9e5df72f01d73ee47d",
         "price-boyle-trin": "c21a90311043592c11b354cbc873f9cb7df8b0d8748e0e3eb4cbf1b3ad481e56",
         "price-closed": "3a7421fdf1cac7612559b87be8aa0dab409487ceb774fc0aa32d47881d078f33",

@@ -95,3 +95,18 @@ def test_only_output_rounds_numbers():
     # format elsewhere would be a second rounding rule
     holders = [path.name for path in sorted(PACKAGE.glob("*.py")) if ".12g" in path.read_text()]
     assert holders == ["output.py"]
+
+
+def test_only_contracts_defines_a_terminal_payoff():
+    # every lattice pays through contracts.terminal_payoff, one overflow policy
+    # for all; Monte Carlo's state is linear CPM, so it calls payoff directly
+    definers, callers = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and "payoff" in node.name:
+                definers.add(path.name)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                if node.func.id == "payoff":
+                    callers.add(path.name)
+    assert sorted(definers) == ["contracts.py"]
+    assert sorted(callers) == ["contracts.py", "montecarlo.py"]

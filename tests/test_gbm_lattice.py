@@ -106,6 +106,31 @@ class TestMovementParams:
         mv = movement_params(method(MethodKind.TIAN_TRIN), 0.5, 0.05, dt)
         assert mv.m == pytest.approx(math.exp(0.05 * dt) * math.exp(2 * 0.25 * dt), rel=1e-14)
 
+    @pytest.mark.parametrize("sigma", [0.01, 0.053, 0.5, 1.5])
+    @pytest.mark.parametrize("dt", [1e-8, 1.5e-4, 1e-2, 0.5])
+    @pytest.mark.parametrize("rate", [0.0, 0.1])
+    def test_tian_trinomial_probabilities_against_mpmath(self, sigma, dt, rate):
+        # Tian's textbook q1 and q3 at 50 digits; in floats their O(1) terms
+        # cancel down to O(sigma^2 dt), which cost up to 4e-5 absolute at dt 1e-8
+        mv = movement_params(method(MethodKind.TIAN_TRIN), sigma, rate, dt)
+        with mpmath.workdps(50):
+            g = mpmath.exp(mpmath.mpf(rate) * dt)
+            z = mpmath.exp(mpmath.mpf(sigma) ** 2 * dt)
+            m = g * z * z
+            w = g * (z**4 + z**3) / 2
+            u, d = w + mpmath.sqrt(w * w - m * m), w - mpmath.sqrt(w * w - m * m)
+            q1 = (m * d - g * (m + d) + g * g * z) / ((u - d) * (u - m))
+            q3 = (u * m - g * (u + m) + g * g * z) / ((u - d) * (m - d))
+            assert abs(mv.q1 - q1) <= 1e-15
+            assert abs(mv.q3 - q3) <= 1e-15
+
+    def test_tian_trinomial_prices_at_tiny_sigma(self):
+        # the moves spread by sqrt(3 sigma^2 dt) about m, which w^2 - m^2 lost to roundoff
+        params = GbmParams(spot_M0=2.0, sigma=1e-9)
+        c = contract(n=100)
+        price = trinomial_price(params, c, method(MethodKind.TIAN_TRIN))
+        assert price == pytest.approx(closed_form_price(params, c), rel=1e-12)
+
     @pytest.mark.parametrize("kind", list(MethodKind))
     @pytest.mark.parametrize("sigma", [0.1, 0.5, 1.0])
     @pytest.mark.parametrize("dt", [1e-4, 1e-3, 1e-2])
@@ -154,7 +179,7 @@ class TestMovementParams:
                            MethodKind.BOYLE_TRIN, MethodKind.TIAN_TRIN)
               for rate in (0.05, 0.0)),
             (MethodKind.TIAN_BIN, 1e-9, 0.0, 0.085 / 500, "the moves"),
-            (MethodKind.TIAN_TRIN, 1e-9, 0.05, 0.085 / 500, "the moves"),
+            (MethodKind.TIAN_TRIN, 1e-15, 0.05, 0.085 / 500, "the moves"),
         ],
     )
     def test_invalid_parameterization_is_hard_error(self, kind, sigma, rate, dt, match):
@@ -516,22 +541,22 @@ class TestFrozenOutputs:
 
     PRICES = {
         "n1": (dict(steps_n=1, strike=0.007),
-               ("0x1.42b5991f38038p-12", "0x1.3f436fdd7f5dbp-12", "0x1.55cf0a82949bbp-13")),
+               ("0x1.42b5991f38038p-12", "0x1.3f436fdd7f5dbp-12", "0x1.55cf0a82949e7p-13")),
         "n2": (dict(steps_n=2, strike=0.007),
-               ("0x1.28a4ee475d926p-12", "0x1.2784339171ce8p-12", "0x1.b87af2d552de6p-13")),
+               ("0x1.28a4ee475d926p-12", "0x1.2784339171ce8p-12", "0x1.b87af2d552e85p-13")),
         "n3": (dict(steps_n=3, strike=0.007),
-               ("0x1.23a17b30e9091p-12", "0x1.22db8ac4606aep-12", "0x1.e0b170ed0fe8dp-13")),
+               ("0x1.23a17b30e9091p-12", "0x1.22db8ac4606aep-12", "0x1.e0b170ed0fee8p-13")),
         "n1000": (dict(steps_n=1000, strike=0.007),
-                  ("0x1.134e0beefcf98p-12", "0x1.134d7b755c304p-12", "0x1.13472dff19bc4p-12")),
+                  ("0x1.134e0beefcf98p-12", "0x1.134d7b755c304p-12", "0x1.13472dff6ddc2p-12")),
         "zero-strike": (dict(steps_n=50, strike=0.0),
-                        ("0x1.b4e81b4e81b61p-8", "0x1.b4e812ea8e338p-8", "0x1.b4e81b4e81c20p-8")),
+                        ("0x1.b4e81b4e81b61p-8", "0x1.b4e812ea8e338p-8", "0x1.b4e81b4e81aeep-8")),
         "above-every-node": (dict(steps_n=50, strike=1.0), ("0x0.0p+0",) * 3),
         "deep-itm": (dict(steps_n=50, strike=0.0005),
-                     ("0x1.94470bc620b5dp-8", "0x1.944703622d336p-8", "0x1.94470bc620c1cp-8")),
+                     ("0x1.94470bc620b5dp-8", "0x1.944703622d336p-8", "0x1.94470bc620af0p-8")),
         "out-of-the-money": (dict(steps_n=200, strike=0.009),
-                             ("0x1.252a0634de5b3p-17", "0x1.251c95d701aafp-17", "0x1.26d767a846f7ap-17")),
+                             ("0x1.252a0634de5b3p-17", "0x1.251c95d701aafp-17", "0x1.26d767a8330acp-17")),
         "per-mille": (dict(steps_n=50, strike=2.1, strike_basis=StrikeBasis.PER_MILLE),
-                      ("0x1.4267cc636e736p-4", "0x1.425a814a22438p-4", "0x1.40fda48c7d08ap-4")),
+                      ("0x1.4267cc636e736p-4", "0x1.425a814a22438p-4", "0x1.40fda48c7c944p-4")),
     }
 
     @pytest.mark.parametrize("case", sorted(PRICES))

@@ -400,8 +400,8 @@ class TestFrozenOutputs:
     to that order moves these values.
     """
 
-    PRICES = {14: "0x1.50538acb9fc49p-9", 200: "0x1.54e25832fcf85p-9", 1000: "0x1.55399a9097475p-9"}
-    DUMP_SHA256 = "689ca892de596b0f8d0cd659e74acd42025e39c998d85341c750b88401ecf6de"
+    PRICES = {14: "0x1.50538acb9fc5ap-9", 200: "0x1.54e25832fcf8cp-9", 1000: "0x1.55399a909747cp-9"}
+    DUMP_SHA256 = "b1b990ca05d1f0669289c2ffc1d3e79f39a0cd396a33304c610e015178505162"
 
     @pytest.mark.parametrize("n", sorted(PRICES))
     def test_price_bits(self, n):
