@@ -57,26 +57,28 @@ class LatticeMethod:
 
 @dataclass(frozen=True)
 class MoveSpec:
-    """Per-step movement scales and risk-neutral transition probabilities.
+    """One time step: the moves and their risk-neutral transition
+    probabilities, top branch first; two of each for a binomial step,
+    three for a trinomial step."""
 
-    Binomial specs leave ``m`` and ``q3`` as None; probabilities are
-    labelled from the top branch down.
-    """
+    moves: tuple[float, ...]
+    probs: tuple[float, ...]
 
-    u: float
-    d: float
-    q1: float
-    q2: float
-    m: float | None = None
-    q3: float | None = None
+    @property
+    def u(self) -> float:
+        return self.moves[0]
+
+    @property
+    def d(self) -> float:
+        return self.moves[-1]
 
 
-def _check_probs(kind: MethodKind, **probs: float) -> None:
-    for name, q in probs.items():
+def _check_probs(kind: MethodKind, probs: tuple[float, ...]) -> None:
+    for i, q in enumerate(probs, 1):
         if not (0.0 <= q <= 1.0):
             raise ValueError(
                 f"invalid parameterization for {kind.value}: "
-                f"{name} = {q!r} lies outside [0, 1]"
+                f"q{i} = {q!r} lies outside [0, 1]"
             )
 
 
@@ -106,55 +108,48 @@ def movement_params(
         raise ValueError(f"dt must be > 0, got {dt}")
 
     kind = method.kind
+    lam = method.stretch_lambda
     g = math.exp(rate_r * dt)
     z = math.exp(sigma * sigma * dt)
+    a = math.expm1(sigma * sigma * dt)  # z - 1, the step variance, without cancellation
 
     if kind is MethodKind.CRR:
         u = math.exp(sigma * math.sqrt(dt))
         d = 1.0 / u
     elif kind is MethodKind.TIAN_BIN:
-        root = math.sqrt(z * z + 2.0 * z - 3.0)
+        root = math.sqrt(a * (a + 4.0))  # sqrt(z^2 + 2z - 3)
         u = 0.5 * g * z * (z + 1.0 + root)
         d = 0.5 * g * z * (z + 1.0 - root)
     elif kind is MethodKind.HAAHTELA_BIN:
-        half_width = math.sqrt(z - 1.0)
+        half_width = math.sqrt(a)
         u = math.exp(half_width + rate_r * dt)
         d = math.exp(-half_width + rate_r * dt)
 
     if method.is_binomial:
         _check_spread(kind, u, d)
         q1 = (g - d) / (u - d)
-        _check_probs(kind, q1=q1)
-        return MoveSpec(u=u, d=d, q1=q1, q2=1.0 - q1)
-
-    lam = method.stretch_lambda
-
-    if kind is MethodKind.BOYLE_TRIN:
+        moves, probs = (u, d), (q1, 1.0 - q1)
+    elif kind is MethodKind.BOYLE_TRIN:
         u = math.exp(lam * sigma * math.sqrt(dt))
-        d = 1.0 / u
         _check_spread(kind, u, 1.0)
-        v = math.exp(2.0 * rate_r * dt) * (z - 1.0)
-        denom = (u - 1.0) * (u * u - 1.0)
-        q1 = ((v + g * g - g) * u - (g - 1.0)) / denom
-        q3 = ((v + g * g - g) * u * u - (g - 1.0) * u**3) / denom
-        q2 = 1.0 - q1 - q3
-        _check_probs(kind, q1=q1, q2=q2, q3=q3)
-        return MoveSpec(u=u, d=d, q1=q1, q2=q2, m=1.0, q3=q3)
-
-    if kind is MethodKind.KR_TRIN:
+        # the moment equations less the normalization, q1 (u - 1) + q3 (d - 1) = g - 1
+        # and q1 (u^2 - 1) + q3 (d^2 - 1) = g^2 z - 1, solved in b = u - 1,
+        # c = g - 1 and e = g^2 z - 1, so no O(1) terms cancel
+        b = math.expm1(lam * sigma * math.sqrt(dt))
+        c = math.expm1(rate_r * dt)
+        e = math.expm1((2.0 * rate_r + sigma * sigma) * dt)
+        q3 = u * u * (e - c * (u + 1.0)) / (b * b * (u + 1.0))
+        q1 = c / b + q3 / u
+        moves, probs = (u, 1.0, 1.0 / u), (q1, 1.0 - q1 - q3, q3)
+    elif kind is MethodKind.KR_TRIN:
         u = math.exp(lam * sigma * math.sqrt(dt))
-        d = 1.0 / u
         tilt = (rate_r - 0.5 * sigma * sigma) * math.sqrt(dt) / (2.0 * lam * sigma)
         q1 = 1.0 / (2.0 * lam * lam) + tilt
-        q2 = 1.0 - 1.0 / (lam * lam)
         q3 = 1.0 / (2.0 * lam * lam) - tilt
-        _check_probs(kind, q1=q1, q2=q2, q3=q3)
-        return MoveSpec(u=u, d=d, q1=q1, q2=q2, m=1.0, q3=q3)
-
-    if kind is MethodKind.TIAN_TRIN:
+        moves, probs = (u, 1.0, 1.0 / u), (q1, 1.0 - 1.0 / (lam * lam), q3)
+    elif kind is MethodKind.TIAN_TRIN:
         # u, d = w +- sqrt(w^2 - m^2) with w = g (z^4 + z^3) / 2. The gaps between
         # u, m, d and g come from a = z - 1 directly, so no O(1) terms cancel
-        a = math.expm1(sigma * sigma * dt)
         m = g * z * z
         m_g = g * a * (z + 1.0)  # m - g
         w_m = 0.5 * g * z * z * a * (z + 2.0)  # w - m
@@ -168,11 +163,11 @@ def movement_params(
         q1 = (g * g * a - m_g * (m_d - m_g)) / (2.0 * root * u_m)
         q3 = (g * g * a + (u_m + m_g) * m_g) / (2.0 * root * m_d)
         # q2 by normalization: the explicit form cancels badly at small dt
-        q2 = 1.0 - q1 - q3
-        _check_probs(kind, q1=q1, q2=q2, q3=q3)
-        return MoveSpec(u=u, d=d, q1=q1, q2=q2, m=m, q3=q3)
-
-    raise ValueError(f"unknown lattice method {kind!r}")
+        moves, probs = (u, m, d), (q1, 1.0 - q1 - q3, q3)
+    else:
+        raise ValueError(f"unknown lattice method {kind!r}")
+    _check_probs(kind, probs)
+    return MoveSpec(moves, probs)
 
 
 MAX_BINOMIAL_STEPS = 100_000
@@ -330,7 +325,7 @@ def binomial_price_sum(
     are accumulated in log space so step counts up to 100k stay finite.
     """
     move, spot = _binomial_step(params, contract, method)
-    n, q = contract.steps_n, move.q1
+    n, q = contract.steps_n, move.probs[0]
     first, last = _binomial_window(n, q)
     j = np.arange(max(first, _exercise_boundary(spot, move, n, contract.strike)), last + 1)
     intrinsic = terminal_payoff(
@@ -359,7 +354,7 @@ def complementary_binomial_price(
     0 when no terminal node is in the money.
     """
     move, spot = _binomial_step(params, contract, method)
-    n, q = contract.steps_n, move.q1
+    n, q = contract.steps_n, move.probs[0]
     j_star = _exercise_boundary(spot, move, n, contract.strike)
     if j_star > n:
         return 0.0
@@ -435,12 +430,12 @@ def trinomial_price(
     contract.check_steps(MAX_TRINOMIAL_STEPS)
     n = contract.steps_n
     move = movement_params(method, params.sigma, contract.rate_r, contract.dt)
-    assert move.m is not None and move.q3 is not None
+    u, m, _ = move.moves
     spot = underlying_value(params.spot_M0, contract)
     j = np.arange(-n, n + 1)
-    log_terminal = math.log(spot) + n * math.log(move.m) + j * math.log(move.u / move.m)
+    log_terminal = math.log(spot) + n * math.log(m) + j * math.log(u / m)
     intrinsic = terminal_payoff(log_terminal, log_terminal[-1], contract)
-    log_weight = _trinomial_log_weights(n, move.q1, move.q2, move.q3)
+    log_weight = _trinomial_log_weights(n, *move.probs)
     return _discounted_sum(log_weight, intrinsic, contract)
 
 

@@ -19,12 +19,13 @@ from firstlook.gbm_lattice import LatticeMethod, movement_params
 def induction_price(params: GbmParams, contract: OptionContract, method: LatticeMethod) -> float:
     n = contract.steps_n
     move = movement_params(method, params.sigma, contract.rate_r, contract.dt)
+    u, m, _ = move.moves
     spot = underlying_value(params.spot_M0, contract)
     j = np.arange(-n, n + 1)
-    values = payoff(np.exp(math.log(spot) + n * math.log(move.m) + j * math.log(move.u / move.m)),
+    values = payoff(np.exp(math.log(spot) + n * math.log(m) + j * math.log(u / m)),
                     contract)
     # node i of the next level is down * values[i] + middle * values[i + 1] + up * values[i + 2]
-    taps = math.exp(-contract.rate_r * contract.dt) * np.array([move.q3, move.q2, move.q1])
+    taps = math.exp(-contract.rate_r * contract.dt) * np.array(move.probs[::-1])
     for _ in range(n):
         values = np.correlate(values, taps, "valid")
     return float(values[0])

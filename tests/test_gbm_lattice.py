@@ -68,9 +68,39 @@ def assert_refused_before_allocating(pricer, c, kind):
 
 def branches(mv):
     """(probability, scale) of each branch of a step, top branch first."""
-    if mv.m is None:
-        return [(mv.q1, mv.u), (mv.q2, mv.d)]
-    return [(mv.q1, mv.u), (mv.q2, mv.m), (mv.q3, mv.d)]
+    return zip(mv.probs, mv.moves)
+
+
+def step_mp(kind, lam, sigma, rate, dt):
+    """The step's moves and probabilities, top branch first, from the
+    textbook formulas at the working precision; the Boyle and Tian
+    trinomial probabilities solve the three moment equations directly."""
+    g = mpmath.exp(rate * dt)
+    z = mpmath.exp(sigma**2 * dt)
+    if kind is MethodKind.CRR:
+        u = mpmath.exp(sigma * mpmath.sqrt(dt))
+        moves = (u, 1 / u)
+    elif kind is MethodKind.TIAN_BIN:
+        root = mpmath.sqrt(z * z + 2 * z - 3)
+        moves = (g * z * (z + 1 + root) / 2, g * z * (z + 1 - root) / 2)
+    elif kind is MethodKind.HAAHTELA_BIN:
+        half_width = mpmath.sqrt(z - 1)
+        moves = (mpmath.exp(half_width + rate * dt), mpmath.exp(-half_width + rate * dt))
+    elif kind is MethodKind.TIAN_TRIN:
+        m = g * z * z
+        w = g * (z**4 + z**3) / 2
+        moves = (w + mpmath.sqrt(w * w - m * m), m, w - mpmath.sqrt(w * w - m * m))
+    else:
+        u = mpmath.exp(lam * sigma * mpmath.sqrt(dt))
+        moves = (u, mpmath.mpf(1), 1 / u)
+    if len(moves) == 2:
+        u, d = moves
+        return moves, ((g - d) / (u - d), (u - g) / (u - d))
+    if kind is MethodKind.KR_TRIN:
+        tilt = (rate - sigma**2 / 2) * mpmath.sqrt(dt) / (2 * lam * sigma)
+        return moves, (1 / (2 * lam**2) + tilt, 1 - 1 / lam**2, 1 / (2 * lam**2) - tilt)
+    powers = mpmath.matrix([[1, 1, 1], list(moves), [s * s for s in moves]])
+    return moves, tuple(mpmath.lu_solve(powers, mpmath.matrix([1, g, g * g * z])))
 
 
 def exercise_boundary_by_scan(log_values, strike):
@@ -91,20 +121,21 @@ class TestMovementParams:
         assert mv.u == pytest.approx(math.exp(0.5 * math.sqrt(dt)), rel=1e-15)
         assert mv.d == pytest.approx(1.0 / mv.u, rel=1e-15)
         q = (math.exp(0.05 * dt) - mv.d) / (mv.u - mv.d)
-        assert mv.q1 == pytest.approx(q, rel=1e-15)
-        assert mv.q2 == pytest.approx(1.0 - q, rel=1e-15)
-        assert mv.m is None and mv.q3 is None
+        assert len(mv.moves) == len(mv.probs) == 2
+        assert mv.probs[0] == pytest.approx(q, rel=1e-15)
+        assert mv.probs[1] == pytest.approx(1.0 - q, rel=1e-15)
 
     def test_kr_stretch_one_reduces_to_binomial(self):
         dt = 0.01
         mv = movement_params(method(MethodKind.KR_TRIN, 1.0), 0.5, 0.05, dt)
-        assert mv.q2 == 0.0
-        assert mv.q1 + mv.q3 == pytest.approx(1.0, abs=1e-15)
+        q1, q2, q3 = mv.probs
+        assert q2 == 0.0
+        assert q1 + q3 == pytest.approx(1.0, abs=1e-15)
 
     def test_tian_trinomial_middle_scale(self):
         dt = (31 / 365) / 50
         mv = movement_params(method(MethodKind.TIAN_TRIN), 0.5, 0.05, dt)
-        assert mv.m == pytest.approx(math.exp(0.05 * dt) * math.exp(2 * 0.25 * dt), rel=1e-14)
+        assert mv.moves[1] == pytest.approx(math.exp(0.05 * dt) * math.exp(2 * 0.25 * dt), rel=1e-14)
 
     @pytest.mark.parametrize("sigma", [0.01, 0.053, 0.5, 1.5])
     @pytest.mark.parametrize("dt", [1e-8, 1.5e-4, 1e-2, 0.5])
@@ -121,8 +152,35 @@ class TestMovementParams:
             u, d = w + mpmath.sqrt(w * w - m * m), w - mpmath.sqrt(w * w - m * m)
             q1 = (m * d - g * (m + d) + g * g * z) / ((u - d) * (u - m))
             q3 = (u * m - g * (u + m) + g * g * z) / ((u - d) * (m - d))
-            assert abs(mv.q1 - q1) <= 1e-15
-            assert abs(mv.q3 - q3) <= 1e-15
+            assert abs(mv.probs[0] - q1) <= 1e-15
+            assert abs(mv.probs[2] - q3) <= 1e-15
+
+    @pytest.mark.parametrize("kind", list(MethodKind), ids=lambda k: k.value)
+    @pytest.mark.parametrize("sigma", [0.01, 0.05, 0.2, 0.5, 1.5])
+    @pytest.mark.parametrize("dt", [1e-8, 1e-6, 1e-4, 1e-2, 0.5])
+    # at rate 0.1 the CRR step at sigma 0.01, dt 0.01 sits on its boundary g = u
+    @pytest.mark.parametrize("rate", [0.0, 0.05, 0.08])
+    def test_step_against_mpmath(self, kind, sigma, dt, rate):
+        # every parameterization's moves at 50 digits, and Boyle's probabilities,
+        # whose moment equations cancel to O(sigma^2 dt) when written in u, g and z
+        with mpmath.workdps(50):
+            moves, probs = step_mp(
+                kind, mpmath.mpf(DEFAULT_STRETCH), mpmath.mpf(sigma), mpmath.mpf(rate), mpmath.mpf(dt)
+            )
+            if not all(0 <= q <= 1 for q in probs):
+                with pytest.raises(ValueError, match="lies outside"):
+                    movement_params(method(kind), sigma, rate, dt)
+                return
+            mv = movement_params(method(kind), sigma, rate, dt)
+            assert len(mv.moves) == len(moves)
+            for i, (got, exact) in enumerate(zip(mv.moves, moves)):
+                # tian-trin's d = m - (root - w_m) cancels once sigma^2 dt nears 1:
+                # 4.4e-15 relative at sigma 1.5, dt 0.5
+                bound = 5e-15 if (kind, i) == (MethodKind.TIAN_TRIN, 2) else 1e-15
+                assert abs(got - exact) <= bound * exact
+            if kind is MethodKind.BOYLE_TRIN and sigma >= 0.05 and dt >= 1e-6:
+                for got, exact in zip(mv.probs, probs):
+                    assert abs(got - exact) <= 1e-13 * exact
 
     def test_tian_trinomial_prices_at_tiny_sigma(self):
         # the moves spread by sqrt(3 sigma^2 dt) about m, which w^2 - m^2 lost to roundoff
@@ -178,7 +236,7 @@ class TestMovementParams:
               for kind in (MethodKind.CRR, MethodKind.TIAN_BIN, MethodKind.HAAHTELA_BIN,
                            MethodKind.BOYLE_TRIN, MethodKind.TIAN_TRIN)
               for rate in (0.05, 0.0)),
-            (MethodKind.TIAN_BIN, 1e-9, 0.0, 0.085 / 500, "the moves"),
+            (MethodKind.TIAN_BIN, 1e-15, 0.0, 0.085 / 500, "the moves"),
             (MethodKind.TIAN_TRIN, 1e-15, 0.05, 0.085 / 500, "the moves"),
         ],
     )
@@ -208,10 +266,10 @@ def binomial_price_mp(params, c, m):
     move = movement_params(m, params.sigma, c.rate_r, c.dt)
     n = c.steps_n
     with mpmath.workdps(40):
-        p, u, d = mpmath.mpf(move.q1), mpmath.mpf(move.u), mpmath.mpf(move.d)
+        p, u, d = mpmath.mpf(move.probs[0]), mpmath.mpf(move.u), mpmath.mpf(move.d)
         spot, strike = mpmath.mpf(per_click_value(params.spot_M0, c.ctr)), mpmath.mpf(c.strike)
         total = mpmath.mpf(0)
-        for k, step in ((int(n * move.q1), 1), (int(n * move.q1) - 1, -1)):
+        for k, step in ((int(n * move.probs[0]), 1), (int(n * move.probs[0]) - 1, -1)):
             weight = mpmath.exp(mpmath.loggamma(n + 1) - mpmath.loggamma(k + 1)
                                 - mpmath.loggamma(n - k + 1) + k * mpmath.log(p)
                                 + (n - k) * mpmath.log1p(-p))
@@ -235,7 +293,7 @@ class TestBinomialPricers:
         mv = movement_params(method(MethodKind.CRR), 0.5, 0.05, c.dt)
         up = max(mv.u * 2.0 / 300.0 - 0.005, 0.0)
         down = max(mv.d * 2.0 / 300.0 - 0.005, 0.0)
-        expected = math.exp(-0.05 * c.dt) * (mv.q1 * up + mv.q2 * down)
+        expected = math.exp(-0.05 * c.dt) * (mv.probs[0] * up + mv.probs[1] * down)
         got = binomial_price_sum(PARAMS, c, method(MethodKind.CRR))
         assert got == pytest.approx(expected, rel=1e-14)
 
@@ -286,8 +344,9 @@ class TestBinomialPricers:
         mv = movement_params(method(MethodKind.CRR), 0.5, c.rate_r, c.dt)
         spot = per_click_value(2.0, 0.3)
         assert spot * mv.d < c.strike < spot * mv.u
-        q_shift = mv.q1 * mv.u / math.exp(c.rate_r * c.dt)
-        expected = spot * q_shift - c.strike * math.exp(-c.rate_r * c.expiry_T) * mv.q1
+        q = mv.probs[0]
+        q_shift = q * mv.u / math.exp(c.rate_r * c.dt)
+        expected = spot * q_shift - c.strike * math.exp(-c.rate_r * c.expiry_T) * q
         got = complementary_binomial_price(PARAMS, c, method(MethodKind.CRR))
         assert got == pytest.approx(expected, rel=1e-13)
 
@@ -421,8 +480,9 @@ class TestBinomialLogWeights:
             c = contract(n=n, strike=strike)
             move, spot = _binomial_step(PARAMS, c, m)
             j = np.arange(n + 1)
-            weight = np.exp(_binomial_log_weights(n, move.q1, j))
-            assert not weight[np.abs(j - n * move.q1) > math.sqrt(373 * n)].any()
+            q = move.probs[0]
+            weight = np.exp(_binomial_log_weights(n, q, j))
+            assert not weight[np.abs(j - n * q) > math.sqrt(373 * n)].any()
             intrinsic = np.maximum(np.exp(_binomial_log_values(spot, move, n, j)) - strike, 0.0)
             full = float(np.sum(weight * intrinsic)) * math.exp(-c.rate_r * c.expiry_T)
             assert binomial_price_sum(PARAMS, c, m) == pytest.approx(full, rel=1e-14, abs=0)
@@ -522,7 +582,7 @@ class TestTrinomialAgainstInduction:
         # two moves are left, so the walk is a binomial
         m = method(MethodKind.KR_TRIN, lam)
         move = movement_params(m, sigma, rate, dt)
-        assert [name for name in ("q1", "q2", "q3") if getattr(move, name) == 0.0] == zeros
+        assert [f"q{i}" for i, q in enumerate(move.probs, 1) if q == 0.0] == zeros
         params = GbmParams(spot_M0=2.0, sigma=sigma)
         spot = per_click_value(params.spot_M0, 0.3)
         for strike in (0.0, spot, 1.3 * spot):
@@ -541,22 +601,22 @@ class TestFrozenOutputs:
 
     PRICES = {
         "n1": (dict(steps_n=1, strike=0.007),
-               ("0x1.42b5991f38038p-12", "0x1.3f436fdd7f5dbp-12", "0x1.55cf0a82949e7p-13")),
+               ("0x1.42b5991f3800bp-12", "0x1.3f436fdd7f5dbp-12", "0x1.55cf0a82949e7p-13")),
         "n2": (dict(steps_n=2, strike=0.007),
-               ("0x1.28a4ee475d926p-12", "0x1.2784339171ce8p-12", "0x1.b87af2d552e85p-13")),
+               ("0x1.28a4ee475d97ap-12", "0x1.2784339171ce8p-12", "0x1.b87af2d552e85p-13")),
         "n3": (dict(steps_n=3, strike=0.007),
-               ("0x1.23a17b30e9091p-12", "0x1.22db8ac4606aep-12", "0x1.e0b170ed0fee8p-13")),
+               ("0x1.23a17b30e9065p-12", "0x1.22db8ac4606aep-12", "0x1.e0b170ed0fee8p-13")),
         "n1000": (dict(steps_n=1000, strike=0.007),
-                  ("0x1.134e0beefcf98p-12", "0x1.134d7b755c304p-12", "0x1.13472dff6ddc2p-12")),
+                  ("0x1.134e0beefbc92p-12", "0x1.134d7b755c304p-12", "0x1.13472dff6ddc2p-12")),
         "zero-strike": (dict(steps_n=50, strike=0.0),
-                        ("0x1.b4e81b4e81b61p-8", "0x1.b4e812ea8e338p-8", "0x1.b4e81b4e81aeep-8")),
+                        ("0x1.b4e81b4e81b3ep-8", "0x1.b4e812ea8e338p-8", "0x1.b4e81b4e81aeep-8")),
         "above-every-node": (dict(steps_n=50, strike=1.0), ("0x0.0p+0",) * 3),
         "deep-itm": (dict(steps_n=50, strike=0.0005),
-                     ("0x1.94470bc620b5dp-8", "0x1.944703622d336p-8", "0x1.94470bc620af0p-8")),
+                     ("0x1.94470bc620b3dp-8", "0x1.944703622d336p-8", "0x1.94470bc620af0p-8")),
         "out-of-the-money": (dict(steps_n=200, strike=0.009),
-                             ("0x1.252a0634de5b3p-17", "0x1.251c95d701aafp-17", "0x1.26d767a8330acp-17")),
+                             ("0x1.252a0634d67f4p-17", "0x1.251c95d701aafp-17", "0x1.26d767a8330acp-17")),
         "per-mille": (dict(steps_n=50, strike=2.1, strike_basis=StrikeBasis.PER_MILLE),
-                      ("0x1.4267cc636e736p-4", "0x1.425a814a22438p-4", "0x1.40fda48c7c944p-4")),
+                      ("0x1.4267cc636eb0fp-4", "0x1.425a814a22438p-4", "0x1.40fda48c7c944p-4")),
     }
 
     @pytest.mark.parametrize("case", sorted(PRICES))
