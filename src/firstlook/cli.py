@@ -262,6 +262,8 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     if args.points < 1:
         raise UsageError(f"--points must be >= 1, got {args.points}")
+    if not np.isfinite(args.hi - args.lo):
+        raise UsageError(f"--lo {args.lo!r} and --hi {args.hi!r} must be finite, as must their gap")
     contract = _contract(args)
     sv = _sv_params(args)
     cfg = montecarlo.McConfig(

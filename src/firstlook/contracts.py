@@ -161,6 +161,20 @@ def terminal_payoff(log_values: np.ndarray, top: float, contract: OptionContract
     return payoff(np.exp(log_values), contract)
 
 
+def expected_payoff(
+    weights: np.ndarray, log_values: np.ndarray, top: float, contract: OptionContract
+) -> float:
+    """A lattice's price: ``terminal_payoff`` weighted by the node probabilities
+    ``weights``, summed over the in-the-money nodes and discounted once over the
+    whole horizon. Raises as ``terminal_payoff``, and ValueError if it is not finite."""
+    intrinsic = terminal_payoff(log_values, top, contract)
+    in_money = intrinsic > 0.0
+    total = float(np.sum(weights[in_money] * intrinsic[in_money]))
+    price = discount(total, contract.rate_r, contract.expiry_T)
+    require_finite("the lattice price", price)
+    return price
+
+
 def discount(value, rate_r: float, horizon: float):
     """Present value of ``value`` received after ``horizon`` years."""
     if horizon < 0:

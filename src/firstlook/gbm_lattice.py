@@ -16,7 +16,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .contracts import GbmParams, OptionContract, discount, terminal_payoff, underlying_value
+from .contracts import GbmParams, OptionContract, discount, expected_payoff, underlying_value
 from .output import write_table
 
 DEFAULT_STRETCH = math.sqrt(1.5)
@@ -328,20 +328,9 @@ def binomial_price_sum(
     n, q = contract.steps_n, move.probs[0]
     first, last = _binomial_window(n, q)
     j = np.arange(max(first, _exercise_boundary(spot, move, n, contract.strike)), last + 1)
-    intrinsic = terminal_payoff(
-        _binomial_log_values(spot, move, n, j), _binomial_log_values(spot, move, n, n), contract
-    )
-    return _discounted_sum(_binomial_log_weights(n, q, j), intrinsic, contract)
-
-
-def _discounted_sum(
-    log_weight: np.ndarray, intrinsic: np.ndarray, contract: OptionContract
-) -> float:
-    """Terminal payoffs weighted by exp(log_weight), summed over the in-the-money
-    nodes and discounted once over the whole horizon."""
-    in_money = intrinsic > 0.0
-    total = float(np.sum(np.exp(log_weight[in_money]) * intrinsic[in_money]))
-    return discount(total, contract.rate_r, contract.expiry_T)
+    weights = np.exp(_binomial_log_weights(n, q, j))
+    top = _binomial_log_values(spot, move, n, n)
+    return expected_payoff(weights, _binomial_log_values(spot, move, n, j), top, contract)
 
 
 def complementary_binomial_price(
@@ -422,8 +411,7 @@ def trinomial_price(
     All three parameterizations satisfy u*d = m^2, so terminal nodes sit
     on the geometric grid spot * m^n * (u/m)^j, j = -n..n, and their
     weights are the coefficients of (q3 + q2 x + q1 x^2)^n, which Miller's
-    recurrence gives in O(n). The sum is discounted once over the whole
-    horizon.
+    recurrence gives in O(n).
     """
     if method.is_binomial:
         raise ValueError(f"{method.kind.value} is not a trinomial method")
@@ -434,9 +422,8 @@ def trinomial_price(
     spot = underlying_value(params.spot_M0, contract)
     j = np.arange(-n, n + 1)
     log_terminal = math.log(spot) + n * math.log(m) + j * math.log(u / m)
-    intrinsic = terminal_payoff(log_terminal, log_terminal[-1], contract)
-    log_weight = _trinomial_log_weights(n, *move.probs)
-    return _discounted_sum(log_weight, intrinsic, contract)
+    weights = np.exp(_trinomial_log_weights(n, *move.probs))
+    return expected_payoff(weights, log_terminal, log_terminal[-1], contract)
 
 
 def lattice_price(
@@ -455,13 +442,15 @@ def _norm_cdf(x: float) -> float:
 def closed_form_price(params: GbmParams, contract: OptionContract) -> float:
     """Continuous-time limit price of the call on the quoted underlying."""
     spot = underlying_value(params.spot_M0, contract)
+    if math.isinf(spot):
+        raise OverflowError(f"spot {params.spot_M0!r} on the strike's basis overflows a float")
     strike = contract.strike
     r, T, sigma = contract.rate_r, contract.expiry_T, params.sigma
     if strike <= 0:
         return spot
-    if sigma == 0.0:
-        return max(spot - discount(strike, r, T), 0.0)
     srt = sigma * math.sqrt(T)
+    if srt == 0.0:
+        return max(spot - discount(strike, r, T), 0.0)
     d1 = (math.log(spot / strike) + (r + 0.5 * sigma * sigma) * T) / srt
     d2 = d1 - srt
     return spot * _norm_cdf(d1) - discount(strike, r, T) * _norm_cdf(d2)

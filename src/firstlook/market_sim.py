@@ -235,6 +235,7 @@ def revenue_analysis(
                 rtb_income=rtb_income,
             )
         )
+        require_finite(f"the revenue of {day.day}", series[-1].total)
     totals = np.array([d.total for d in series])
     mean = float(totals.mean()) if series else 0.0
     std = float(totals.std(ddof=1)) if len(series) > 1 else 0.0

@@ -23,7 +23,8 @@ from typing import IO, Iterator
 
 import numpy as np
 
-from .contracts import OptionContract, SvParams, discount, terminal_payoff, underlying_value
+from .contracts import (OptionContract, SvParams, discount, expected_payoff, terminal_payoff,
+                        underlying_value)
 from .output import row_format, write_table
 
 # the build holds one chunk of levels at a time, so memory is O(n) while time
@@ -128,8 +129,7 @@ def walk_levels(params: SvParams, contract: OptionContract) -> Iterator[tuple]:
     so those recur in Python and a chunk of levels gets its grid in a few
     2-D numpy calls; only the mass runs level by level, in the ufunc order
     of a walk that builds each level on its own, whose bits it keeps. The
-    yielded arrays are views into the chunk's; the terminal level's are
-    fresh, as ``np.dot``'s bits depend on its operands' alignment.
+    yielded arrays, the terminal level's included, are views into the chunk's.
     """
     contract.check_steps(MAX_SV_STEPS)
     n = contract.steps_n
@@ -179,7 +179,7 @@ def walk_levels(params: SvParams, contract: OptionContract) -> Iterator[tuple]:
         if fault is not None:
             raise fault
 
-    yield x.copy(), q.copy(), None, None, None, None
+    yield x, q, None, None, None, None
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,18 +206,10 @@ class SvPriceResult:
 
 
 def price_sv_option(lattice: SvLattice) -> SvPriceResult:
-    """Discounted expected terminal payoff over the terminal node mass.
-
-    Raises OverflowError if the top terminal value overflows a float, and
-    ValueError if the price is not finite.
-    """
+    """``expected_payoff`` over the terminal node mass; raises as it does."""
     contract = lattice.contract
     log_values = math.log(underlying_value(lattice.params.spot_M0, contract)) + lattice.x
-    expected = float(np.dot(lattice.q, terminal_payoff(log_values, log_values[0], contract)))
-    price = discount(expected, contract.rate_r, contract.expiry_T)
-    if not math.isfinite(price):
-        raise ValueError(f"the SV lattice price is not finite: {price!r}")
-    return SvPriceResult(price=price)
+    return SvPriceResult(expected_payoff(lattice.q, log_values, log_values[0], contract))
 
 
 def _backward_values(lattice: SvLattice, levels: list[tuple]) -> list[np.ndarray]:

@@ -252,15 +252,19 @@ class TestPrice:
         assert err.count("\n") == 1 and "out of memory" in err
 
     @pytest.mark.parametrize(
-        "method,rate",
-        # overflows in trinomial_price's whole-horizon discount, movement_params' growth and discount
-        [("boyle-trin", "-800"), ("crr", "800"), ("closed", "-800")],
+        "method,extra",
+        # overflows in trinomial_price's whole-horizon discount, movement_params' growth and
+        # discount, then in the spot per click, 5 CPM at a CTR of 5e-324
+        [("boyle-trin", ["--rate", "-800"]), ("crr", ["--rate", "800"]),
+         ("closed", ["--rate", "-800"]), ("closed", ["--ctr", "5e-324"]),
+         ("crr", ["--ctr", "5e-324"])],
+        ids=["boyle-trin--800", "crr-800", "closed--800", "closed-ctr", "crr-ctr"],
     )
-    def test_overflow_exit_one(self, capsys, method, rate):
+    def test_overflow_exit_one(self, capsys, method, extra):
         code, out, err = run(
             capsys,
             ["price", "--method", method, "--spot", "5", "--strike", "0.1", "--expiry", "1",
-             "--rate", rate, "--steps", "1", "--sigma", "1", "--stretch", "100"],
+             "--steps", "1", "--sigma", "1", "--stretch", "100", *extra],
         )
         assert code == 1
         assert out == ""
@@ -599,6 +603,18 @@ class TestValidate:
         assert err == "error: the inputs overflowed (terminal value exp(757606) overflows a float)\n"
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("lo,hi", [("inf", "4"), ("2", "nan"), ("-1e308", "1e308")])
+    def test_non_finite_bounds_usage_error(self, capsys, tmp_path, lo, hi):
+        out = tmp_path / "s.csv"
+        code, stdout, err = run(capsys, [
+            "validate", *self.BASE, "--param", "kappa", f"--lo={lo}", f"--hi={hi}",
+            "--points", "2", "--output", str(out),
+        ])
+        assert (code, stdout) == (2, "")
+        assert err.count("\n") == 1 and "must be finite" in err
+        assert not out.exists()
+
     def test_param_choices_are_the_sv_parameters(self):
         commands = next(
             a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
@@ -783,9 +799,11 @@ class TestSimulate:
             (["--option-price", "nan"], "option_price must be finite, got nan"),
             (["--option-price", "0.01", "--strike-cpc", "inf"], "strike_cpc must be finite, got inf"),
             (["--sigma", "-1"], "error: sigma must be >= 0, got -1.0"),
+            (["--option-price", "1e308"], "the revenue of 2013-02-08 must be finite, got inf"),
+            (["--spot-cpm", "1e308"], "the revenue of 2013-02-08 must be finite, got inf"),
         ],
         ids=["underflow", "budget-inf", "budget-nan", "premium-inf", "premium-nan", "strike-inf",
-             "sigma-negative"],
+             "sigma-negative", "premium-overflow", "spot-overflow"],
     )
     def test_bad_input_one_line_exit_one(self, capsys, tmp_path, extra, message):
         out_dir = tmp_path / "sim"
@@ -814,6 +832,95 @@ class TestSimulate:
              "--output-dir", str(tmp_path / "o")],
         )
         assert code == 2
+
+
+def _no_constant(name):
+    raise ValueError(f"non-finite JSON value {name}")
+
+
+class TestExtremeValues:
+    """Each float flag of each command at the edges of the float range.
+
+    Every case ends in exit 0, 1 or 2 and raises nothing, a numpy warning
+    included. Exit 1 or 2 prints one stderr line (an argparse usage block
+    aside, and ``validate``'s verdict exit 1 has its rows on stdout and no
+    stderr); exit 0 prints no stderr and finite JSON.
+    """
+
+    VALUES = ["0", "-1", "nan", "inf", "-inf", "1e308", "1e-308", "5e-324"]
+    CONTRACT = ["--spot", "--strike", "--ctr", "--expiry", "--rate"]
+    GBM = ["--spot", "20", "--strike", "0.633", "--expiry", "0.085", "--steps", "8", "--sigma", "0.5"]
+    SV = ["--spot", "20", "--strike", "0.633", "--expiry", "0.085", "--steps", "8",
+          "--sigma0", "0.5", "--kappa", "3", "--theta", "0.75", "--delta", "0.35"]
+    SV_FLOATS = [*CONTRACT, *(f"--{name}" for name in SV_PARAMS)]
+    SIM = ["--budget", "5", "--strike-cpc", "0.03", "--days", "5", "--supply", "800",
+           "--output-dir", "{tmp}/sim"]
+    SIM_FLOATS = ["--spot-cpm", "--sigma", "--drift", "--budget", "--strike-cpc", "--ctr",
+                  "--sell-ratio", "--option-price", "--rate"]
+    BASES = {
+        "price-closed": (["price", "--method", "closed", *GBM], [*CONTRACT, "--sigma"]),
+        "price-crr": (["price", "--method", "crr", *GBM], [*CONTRACT, "--sigma"]),
+        "price-boyle-trin": (["price", "--method", "boyle-trin", *GBM],
+                             [*CONTRACT, "--sigma", "--stretch"]),
+        "price-sv-lattice": (["price", "--method", "sv-lattice", *SV], SV_FLOATS),
+        "price-mc-euler": (["price", "--method", "mc-euler", *SV, "--paths", "100"], SV_FLOATS),
+        "converge": (["converge", *GBM, "--n-values", "4,8", "--output", "{tmp}/conv.csv"],
+                     [*CONTRACT, "--sigma", "--stretch"]),
+        "diagnose": (["diagnose", "--input", "{tmp}/series.csv", "--output-dir", "{tmp}/diag"],
+                     ["--alpha"]),
+        "validate": (["validate", *SV, "--param", "kappa", "--lo", "2", "--hi", "4", "--points",
+                      "2", "--paths", "100", "--mc-steps", "4", "--output", "{tmp}/sweep.csv"],
+                     [*SV_FLOATS, "--lo", "--hi"]),
+        "simulate-scenario": (["simulate", "--scenario", "bull", *SIM], SIM_FLOATS),
+        "simulate-market": (["simulate", "--market", "{tmp}/series.csv", *SIM], SIM_FLOATS),
+    }
+
+    @staticmethod
+    def fault(command, code, out, err):
+        if code == 0:
+            if err:
+                return f"exit 0 with stderr {err!r}"
+            if out.startswith("{"):
+                try:
+                    json.loads(out, parse_constant=_no_constant)
+                except ValueError as exc:
+                    return str(exc)
+        elif code in (1, 2):
+            if err.startswith("usage:"):
+                return None
+            if command == "validate" and code == 1 and not err and out.count("\n") == 2:
+                return None
+            if err.count("\n") != 1:
+                return f"exit {code} with stderr {err!r}"
+        else:
+            return f"exit {code}"
+        return None
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", sorted(BASES))
+    def test_exit_code_and_one_line(self, capsys, monkeypatch, tmp_path, name):
+        # building the parser costs more than most of these runs, so build it once
+        parser = cli.build_parser()
+        monkeypatch.setattr(cli, "build_parser", lambda: parser)
+        (tmp_path / "series.csv").write_text("date,price\n" + "".join(
+            f"2013-01-{1 + i:02d},{1 + 0.1 * (i % 3) + 0.01 * i}\n" for i in range(20)))
+        base, flags = self.BASES[name]
+        base = [a.replace("{tmp}", str(tmp_path)) for a in base]
+        faults = []
+        for flag in flags:
+            for value in self.VALUES:
+                argv = list(base)
+                if flag in argv:
+                    del argv[argv.index(flag):argv.index(flag) + 2]
+                argv.append(f"{flag}={value}")  # "=": argparse reads "-inf" as a flag
+                try:
+                    fault = self.fault(argv[0], *run(capsys, argv))
+                except Exception as exc:
+                    capsys.readouterr()
+                    fault = f"raised {exc!r}"
+                if fault:
+                    faults.append(f"{flag}={value}: {fault}")
+        assert faults == []
 
 
 class TestFrozenOutputs:

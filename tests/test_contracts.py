@@ -11,6 +11,7 @@ from firstlook.contracts import (
     StrikeBasis,
     SvParams,
     discount,
+    expected_payoff,
     payoff,
     per_click_value,
     underlying_value,
@@ -112,6 +113,25 @@ class TestDiscount:
     def test_negative_horizon_rejected(self):
         with pytest.raises(ValueError):
             discount(1.0, 0.05, -0.1)
+
+
+class TestExpectedPayoff:
+    def test_sums_the_in_the_money_nodes(self):
+        c = make_contract(strike=1.5, expiry_T=1.0)
+        # the out-of-the-money node's infinite weight is never multiplied by its zero payoff
+        weights = np.array([math.inf, 0.5, 0.25])
+        price = expected_payoff(weights, np.log([1.0, 2.0, 4.0]), math.log(4.0), c)
+        assert price == discount(0.5 * 0.5 + 0.25 * 2.5, c.rate_r, c.expiry_T)
+
+    def test_refuses_a_nan_total_in_one_line(self):
+        c = make_contract(strike=0.5)
+        with pytest.raises(ValueError) as info:
+            expected_payoff(np.array([math.nan, 0.5]), np.log([1.0, 2.0]), math.log(2.0), c)
+        assert str(info.value) == "the lattice price must be finite, got nan"
+
+    def test_refuses_an_overflowing_top_node(self):
+        with pytest.raises(OverflowError, match="overflows a float"):
+            expected_payoff(np.array([1.0]), np.array([710.0]), 710.0, make_contract())
 
 
 class TestContractValidation:

@@ -108,3 +108,29 @@ def test_only_contracts_defines_a_terminal_payoff():
                     callers.add(path.name)
     assert sorted(definers) == ["contracts.py"]
     assert sorted(callers) == ["contracts.py", "montecarlo.py"]
+
+
+def test_only_contracts_sums_terminal_payoffs():
+    # every lattice prices through contracts.expected_payoff: one sum, one
+    # discount and one finite check. A second sum needs the payoffs, so
+    # terminal_payoff feeds only it and the SV dump's backward induction, and
+    # no lattice sums through BLAS, whose bits depend on its thread count
+    callers, blas = {}, []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                for node in ast.walk(func):
+                    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                        callers.setdefault(node.func.id, set()).add(f"{path.stem}.{func.name}")
+        if path.stem.endswith("lattice"):
+            blas += [
+                f"{path.name}: {ast.unparse(node)}" for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr in ("dot", "inner", "matmul")
+                or isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+            ]
+    assert callers["terminal_payoff"] == {"contracts.expected_payoff", "sv_lattice._backward_values"}
+    assert callers["expected_payoff"] == {
+        "gbm_lattice.binomial_price_sum", "gbm_lattice.trinomial_price", "sv_lattice.price_sv_option",
+    }
+    assert blas == []

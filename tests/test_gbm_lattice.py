@@ -637,8 +637,10 @@ class TestClosedForm:
 
     def test_deterministic_limit(self):
         c = contract(rate_r=0.0)
-        p = GbmParams(spot_M0=2.0, sigma=0.0)
-        assert closed_form_price(p, c) == pytest.approx(2.0 / 300.0 - 0.005, rel=1e-12)
+        # at 5e-324 sigma is positive but sigma * sqrt(T) rounds to 0
+        for sigma in (0.0, 5e-324):
+            p = GbmParams(spot_M0=2.0, sigma=sigma)
+            assert closed_form_price(p, c) == pytest.approx(2.0 / 300.0 - 0.005, rel=1e-12)
 
     def test_monotonicity(self):
         base = closed_form_price(PARAMS, contract())

@@ -156,6 +156,13 @@ class TestRevenueAnalysis:
         with pytest.raises(ValueError, match="sell_ratio"):
             revenue_analysis(flat_market(1.0, 2), CTR, 1.2, 0.004, 0.02)
 
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_day_total_is_refused_by_day(self):
+        # the second day's spot income, 1e9 impressions at 1e308 CPM, overflows
+        days = [day(1.0, i=0), day(1e308, i=1)]
+        with pytest.raises(ValueError, match=r"^the revenue of 2013-02-09 must be finite, got inf$"):
+            revenue_analysis(days, CTR, 0.2, 0.004, 0.02)
+
     def test_series_statistics(self):
         days = [day(0.9, 5000, 0), day(1.1, 5000, 1)]
         report = revenue_analysis(days, CTR, 0.0, 0.0, 0.02)
