@@ -156,14 +156,24 @@ def _walk_paths(
     """Yield the (points, n_paths) prices at the spot and after each step.
 
     The yielded array is the walk's state, updated in place by the next
-    step. Every point walks the same normals: per step ``eps_price`` then
-    ``eps_vol`` from one Philox stream, drawn a block of steps at a time
-    while a step has fewer than ``PATH_BLOCK`` paths. Paired, normals are
-    drawn for the first ``n_paths // 2`` paths only, and path
-    ``i + n_paths // 2`` walks path ``i``'s normals negated (antithetic
+    step. Every point walks the same normals: each step draws ``eps_price``
+    then ``eps_vol`` from one Philox stream into one (2, paths) buffer.
+    Paired, normals are drawn for the first ``n_paths // 2`` paths only, and
+    path ``i + n_paths // 2`` walks path ``i``'s normals negated (antithetic
     pairs; ``advance`` subtracts their shocks, so no negated copy is made),
     so the first half is the unpaired walk of ``n_paths // 2`` paths.
+
+    The Euler and Milstein mean-reversion factor ``1 - kappa * dt`` flips
+    the volatility's sign from ``kappa * dt = 2`` on, and the paths
+    diverge to a finite, wrong price; so a point with ``kappa * dt >= 2``
+    is refused before anything is allocated.
     """
+    kappa_dt = max(sv.kappa * dt for sv in points)
+    if kappa_dt >= 2:
+        raise ValueError(
+            f"kappa * dt = {kappa_dt!r} must be below 2 for a stable volatility step; "
+            "use more steps"
+        )
     rng = _generator(seed)
     m = np.empty((len(points), n_paths))
     sigma = np.empty_like(m)
@@ -171,8 +181,7 @@ def _walk_paths(
         m[p] = sv.spot_M0
         sigma[p] = sv.sigma0
     drawn_paths = n_paths // 2 if paired else n_paths
-    per_draw = max(1, min(steps, PATH_BLOCK // drawn_paths))
-    eps = np.empty((per_draw, 2, drawn_paths))
+    eps = np.empty((2, drawn_paths))
     scratch = np.empty((3, min(drawn_paths, PATH_BLOCK)))
     # (first path, antithetic sign) of each half; a block's antithetic half
     # steps right after it, while its normals are in cache
@@ -180,21 +189,19 @@ def _walk_paths(
     blocks = []
     for j in range(0, drawn_paths, PATH_BLOCK):
         width = min(PATH_BLOCK, drawn_paths - j)
+        eps_price, eps_vol = eps[:, j : j + width]
         for offset, antithetic in halves:
             state = slice(offset + j, offset + j + width)
             states = [(m[p, state], sigma[p, state], sv) for p, sv in enumerate(points)]
-            blocks.append((slice(j, j + width), antithetic, scratch[:, :width], states))
+            blocks.append((eps_price, eps_vol, antithetic, scratch[:, :width], states))
     yield m
-    for done in range(0, steps, per_draw):
-        drawn = eps[: min(per_draw, steps - done)]
-        rng.standard_normal(out=drawn)
-        for step_eps in drawn:
-            for block, antithetic, block_scratch, states in blocks:
-                block_price, block_vol = step_eps[:, block]
-                for m_block, sigma_block, sv in states:
-                    advance(m_block, sigma_block, dt, drift, sv, block_price, block_vol,
-                            scheme, block_scratch, antithetic)
-            yield m
+    for _ in range(steps):
+        rng.standard_normal(out=eps)
+        for eps_price, eps_vol, antithetic, block_scratch, states in blocks:
+            for m_block, sigma_block, sv in states:
+                advance(m_block, sigma_block, dt, drift, sv, eps_price, eps_vol,
+                        scheme, block_scratch, antithetic)
+        yield m
 
 
 def sample_paths(
@@ -267,13 +274,19 @@ class Containment(Enum):
 def validate_lattice(lattice_price: float, mc: McResult) -> Containment:
     """Locate the lattice price relative to the Monte Carlo 95% interval.
 
-    Raises ValueError if the price or a bound is NaN, which no interval contains.
+    A lattice price within 1e-12 relative of the Monte Carlo price, the
+    same price in the 12 significant digits that every output carries, is
+    contained even if the interval is narrower, as it is when every path
+    pays the same and the interval has zero width. Raises ValueError if the
+    price or a bound is NaN, which no interval contains.
     """
     if math.isnan(lattice_price) or math.isnan(mc.ci_low) or math.isnan(mc.ci_high):
         raise ValueError(
             f"cannot place lattice price {lattice_price!r} against the Monte Carlo interval "
             f"[{mc.ci_low!r}, {mc.ci_high!r}]"
         )
+    if math.isclose(lattice_price, mc.price, rel_tol=1e-12):
+        return Containment.CONTAINED
     if lattice_price < mc.ci_low:
         return Containment.BELOW
     if lattice_price > mc.ci_high:

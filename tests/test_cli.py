@@ -290,10 +290,12 @@ class TestPrice:
         "method,extra,message",
         [
             # exp(1e6 * rate) overflows the terminal prices: the lattice refuses its top
-            # node, and in Monte Carlo inf * 0 is NaN
+            # node, and in Monte Carlo inf * 0 is NaN (without reversion, which steps
+            # this long would make diverge)
             ("sv-lattice", ["--expiry", "1e6", "--rate", "1"],
              "the inputs overflowed (terminal value exp(757606) overflows a float)"),
-            ("mc-euler", ["--expiry", "1e6", "--rate", "1e3"], "the Monte Carlo price nan or its"),
+            ("mc-euler", ["--expiry", "1e6", "--rate", "1e3", "--kappa", "0"],
+             "the Monte Carlo price nan or its"),
             ("mc-euler", ["--spot", "1e308", "--ctr", "1"], "the Monte Carlo price inf or its"),
         ],
     )
@@ -304,6 +306,30 @@ class TestPrice:
         code, out, err = run(capsys, argv)
         assert (code, out) == (1, "")
         assert err.count("\n") == 1 and err.startswith(f"error: {message}")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kappa,kappa_dt", [("200", "4.25"), ("1e8", "2125000.0")])
+    def test_unstable_volatility_step_exit_one(self, capsys, kappa, kappa_dt):
+        # 1 - kappa * dt <= -1 flips the volatility's sign every step: the paths
+        # diverge to a finite, wrong price (0.146 and 0.0 here, against ~0.077)
+        code, out, err = run(capsys, [
+            "price", "--method", "mc-euler", "--spot", "20", "--strike", "0.633",
+            "--expiry", "0.085", "--steps", "4", "--sigma0", "0.5", "--kappa", kappa,
+            "--theta", "0.75", "--delta", "0.35", "--paths", "1000",
+        ])
+        assert (code, out) == (1, "")
+        assert err == (f"error: kappa * dt = {kappa_dt} must be below 2 for a stable volatility "
+                       "step; use more steps\n")
+
+    def test_volatility_step_just_below_two_prices(self, capsys):
+        # kappa * dt = 94 * 0.085 / 4 = 1.9975
+        code, out, err = run(capsys, [
+            "price", "--method", "mc-euler", "--spot", "20", "--strike", "0.633",
+            "--expiry", "0.085", "--steps", "4", "--sigma0", "0.5", "--kappa", "94",
+            "--theta", "0.75", "--delta", "0.35", "--paths", "1000",
+        ])
+        assert (code, err) == (0, "")
+        assert math.isfinite(json.loads(out)["price"])
 
     @pytest.mark.filterwarnings("error")
     def test_top_cpm_pays_on_the_strike_basis(self, capsys):
@@ -614,6 +640,21 @@ class TestValidate:
         assert (code, stdout) == (2, "")
         assert err.count("\n") == 1 and "must be finite" in err
         assert not out.exists()
+
+    def test_zero_width_interval_contains_the_same_price(self, capsys, tmp_path):
+        # at expiry 1e-308 every path pays the forward: the interval is one point,
+        # and the lattice price sits 2 ulps from it
+        out = tmp_path / "sweep.csv"
+        code, stdout, err = run(capsys, [
+            "validate", "--spot", "20", "--strike", "0.633", "--expiry", "1e-308", "--steps", "8",
+            "--sigma0", "0.5", "--kappa", "3", "--theta", "0.75", "--delta", "0.35",
+            "--param", "kappa", "--lo", "2", "--hi", "4", "--points", "2", "--paths", "100",
+            "--mc-steps", "4", "--output", str(out),
+        ])
+        assert (code, err) == (0, "")
+        assert stdout.count(" contained\n") == 2
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [(row[4] == row[5], row[-1]) for row in rows] == [(True, "contained")] * 2
 
     def test_param_choices_are_the_sv_parameters(self):
         commands = next(

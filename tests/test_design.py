@@ -134,3 +134,22 @@ def test_only_contracts_sums_terminal_payoffs():
         "gbm_lattice.binomial_price_sum", "gbm_lattice.trinomial_price", "sv_lattice.price_sv_option",
     }
     assert blas == []
+
+
+def test_one_walk_draws_the_normals():
+    # _walk_paths owns the Philox stream: its draw order (step, eps_price,
+    # eps_vol, path) is what seeded runs reproduce, and it refuses an unstable
+    # volatility step before it draws, for every Monte Carlo caller
+    callers = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if isinstance(func, ast.FunctionDef):
+                for node in ast.walk(func):
+                    if isinstance(node, ast.Call):
+                        name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                        if name in ("standard_normal", "_generator"):
+                            callers.setdefault(name, set()).add(f"{path.stem}.{func.name}")
+    assert callers == {
+        "standard_normal": {"montecarlo._walk_paths"},
+        "_generator": {"montecarlo._walk_paths"},
+    }

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import tracemalloc
 from collections import deque
 from dataclasses import replace
@@ -147,15 +148,17 @@ class TestMcPrice:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
-        "spot,rate,expiry,ctr,message",
-        # a NaN price; a finite price near the float limit whose pair spread overflows
-        [(20.0, 1e3, 1e6, 0.03, "nan or its standard error nan"),
-         (1e308, 0.05, 31 / 365, 1.0, "1.00121561963958\\d*e\\+305 or its standard error inf")],
+        "spot,rate,expiry,ctr,kappa,message",
+        # a NaN price (no reversion, which this step length would make diverge);
+        # a finite price near the float limit whose pair spread overflows
+        [(20.0, 1e3, 1e6, 0.03, 0.0, "nan or its standard error nan"),
+         (1e308, 0.05, 31 / 365, 1.0, 3.0,
+          "1.00121561963958\\d*e\\+305 or its standard error inf")],
         ids=["nan", "overflow"],
     )
-    def test_non_finite_result_refused(self, spot, rate, expiry, ctr, message):
+    def test_non_finite_result_refused(self, spot, rate, expiry, ctr, kappa, message):
         c = OptionContract(strike=0.1, expiry_T=expiry, rate_r=rate, steps_n=10, ctr=ctr)
-        sv = replace(BASE_SV, spot_M0=spot)
+        sv = replace(BASE_SV, spot_M0=spot, kappa=kappa)
         with pytest.raises(ValueError, match=f"^the Monte Carlo price {message} is not finite$"):
             mc_price(sv, c, McConfig(Scheme.EULER, 1000, 10, seed=1))
 
@@ -209,6 +212,36 @@ class TestMcPrice:
         McConfig(Scheme.MILSTEIN, n_paths=100_000, steps=500, seed=42)
 
 
+class TestStableVolatilityStep:
+    """The reversion factor 1 - kappa * dt flips the volatility's sign from 2 on."""
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("kappa", [4.0, 400.0, 1e8, 1e308])
+    def test_refused_from_kappa_dt_two(self, scheme, kappa):
+        # dt = 0.5: kappa * dt = 2 exactly at the first case
+        c = OptionContract(strike=0.633, expiry_T=2.0, rate_r=0.05, steps_n=4, ctr=0.03)
+        sv = replace(BASE_SV, kappa=kappa)
+        message = re.escape(f"kappa * dt = {kappa * 0.5!r} must be below 2 for a stable volatility")
+        with pytest.raises(ValueError, match=message):
+            mc_price(sv, c, McConfig(scheme, 100, 4, seed=1))
+        with pytest.raises(ValueError, match=message):
+            sample_paths(sv, 0.05, 0.5, 4, 3, scheme, seed=1)
+        with pytest.raises(ValueError, match=message):
+            mc_price([BASE_SV, sv, BASE_SV], c, McConfig(scheme, 100, 4, seed=1))
+
+    def test_refused_before_any_path_array(self):
+        sv = replace(BASE_SV, kappa=200.0)
+        walk = _walk_paths((sv,), 0.05, 0.01, 100, 1_000_000, Scheme.EULER, 1, True)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="kappa \\* dt = 2.0 must be below 2"):
+                next(walk)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+
 class TestPathSampling:
     def test_shapes_and_start(self):
         paths = sample_paths(BASE_SV, 0.1, 1 / 365, 20, 7, Scheme.EULER, seed=5)
@@ -234,7 +267,7 @@ def walk_on(normals, sv, drift, dt, scheme):
 class TestAntitheticPairs:
     """``mc_price`` walks ``n_paths // 2`` drawn paths and their negations."""
 
-    # a few paths drawn many steps per call, and both sides of a path-block edge
+    # a few paths over many steps, and both sides of a path-block edge
     SIZES = [(8, 20), (2 * (PATH_BLOCK + 3), 3)]
 
     def paired_terminal(self, scheme, n_paths, steps):
@@ -301,6 +334,24 @@ class TestValidation:
     def test_below(self):
         r = self.result(0.5)
         assert validate_lattice(r.ci_low - 1e-9, r) is Containment.BELOW
+
+    @pytest.mark.parametrize("ulps", [1, 2])
+    def test_same_price_in_a_zero_width_interval_contained(self, ulps):
+        # every path pays the same: the interval is one point, and the lattice
+        # reaches the same price along another sum
+        price = 0.03366666666666667
+        mc = McResult(price=price, std_error=0.0, ci_low=price, ci_high=price)
+        for direction in (math.inf, -math.inf):
+            lattice = price
+            for _ in range(ulps):
+                lattice = math.nextafter(lattice, direction)
+            assert validate_lattice(lattice, mc) is Containment.CONTAINED
+
+    def test_other_price_outside_a_zero_width_interval(self):
+        price = 0.03366666666666667
+        mc = McResult(price=price, std_error=0.0, ci_low=price, ci_high=price)
+        assert validate_lattice(price * (1 + 1e-9), mc) is Containment.ABOVE
+        assert validate_lattice(price * (1 - 1e-9), mc) is Containment.BELOW
 
     @pytest.mark.parametrize("field", ["price", "ci_low", "ci_high"])
     def test_nan_is_never_contained(self, field):

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import math
+import random
 import re
 import tracemalloc
 from collections import deque
@@ -24,6 +25,7 @@ from firstlook.sv_lattice import (
     vol_mean_path,
     walk_levels,
 )
+from mean_path_oracle import black_call, censoring_binds, mean_path_variance, mean_vol_path
 from walk_oracle import censored_transition, oracle_levels
 
 # empirical SSP-slot configuration: two-week option on a 0.7417 CPM slot
@@ -400,6 +402,62 @@ class TestPricing:
             tracemalloc.stop()
         # every level kept would be about 0.6 GB at this n; one level is 40 kB an array
         assert peak < 8 * 2**20
+
+
+class TestMeanPathOracle:
+    """The lattice against Black-Scholes at its mean-path variance V.
+
+    Wherever censoring cannot bind, the lattice error is O(1/n) on the
+    option's price scale S sqrt(V), where S is the spot per click: the
+    check is |lattice - oracle| <= 0.5 / n * S sqrt(V). Seeded sets range
+    sigma0 and theta over 0.05-2.5, wide enough that censoring binds on
+    some of them, and strikes over +-1.5 sqrt(V) of log-moneyness.
+    """
+
+    # (n, sets drawn); about four in five qualify
+    SETS = [(50, 24), (200, 16), (1000, 6), (3000, 3)]
+
+    @staticmethod
+    def call(per_click, c, variance):
+        sigma = math.sqrt(variance / c.expiry_T)
+        return black_call(per_click, c.strike, c.rate_r, c.expiry_T, sigma)
+
+    @pytest.mark.parametrize("n,count", SETS)
+    def test_lattice_within_the_bound(self, n, count):
+        rng = random.Random(n)
+        checked = 0
+        for _ in range(count):
+            spot, ctr = rng.uniform(0.5, 20.0), rng.uniform(0.01, 0.3)
+            expiry = rng.uniform(7.0, 90.0) / 365.0
+            sigma0, theta = (math.exp(rng.uniform(math.log(0.05), math.log(2.5))) for _ in range(2))
+            kappa, delta = 10 ** rng.uniform(-0.5, 1.5), rng.uniform(0.1, 0.7)
+            vol = mean_vol_path(sigma0, kappa, theta, expiry, n)
+            variance = mean_path_variance(vol, expiry)
+            per_click = spot / (1000.0 * ctr)
+            strike = per_click * math.exp(rng.uniform(-1.5, 1.5) * math.sqrt(variance))
+            if censoring_binds(vol, 0.05, expiry):
+                continue
+            sv = SvParams(spot_M0=spot, sigma0=sigma0, kappa=kappa, theta=theta, delta=delta)
+            c = OptionContract(strike=strike, expiry_T=expiry, rate_r=0.05, steps_n=n, ctr=ctr)
+            lattice = price_sv_option(build_censored_lattice(sv, c)).price
+            tolerance = 0.5 / n * per_click * math.sqrt(variance)
+            assert abs(lattice - self.call(per_click, c, variance)) <= tolerance, (sv, c)
+            if n == 3000:
+                # the bound is tight enough to see a 1% error in the variance
+                assert abs(lattice - self.call(per_click, c, 1.01 * variance)) > tolerance, (sv, c)
+            checked += 1
+        assert checked >= count // 2
+
+    def test_censoring_filter_can_fire(self):
+        # volatility rises from 0.081 toward 1.269: censoring binds, and the
+        # lattice leaves the oracle far behind
+        sv = SvParams(spot_M0=1.0, sigma0=0.081, kappa=3.52, theta=1.269, delta=0.3)
+        c = OptionContract(strike=1.0, expiry_T=0.1183, rate_r=0.05, steps_n=200, ctr=0.001)
+        vol = mean_vol_path(sv.sigma0, sv.kappa, sv.theta, c.expiry_T, c.steps_n)
+        variance = mean_path_variance(vol, c.expiry_T)
+        assert censoring_binds(vol, c.rate_r, c.expiry_T)
+        lattice = price_sv_option(build_censored_lattice(sv, c)).price
+        assert abs(lattice - self.call(1.0, c, variance)) > 10 * 0.5 / 200 * math.sqrt(variance)
 
 
 class TestFrozenOutputs:
