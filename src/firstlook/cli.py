@@ -242,7 +242,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     ratios = diagnostics.log_ratios(series)
     ordered = np.sort(ratios)
     std = ordered.std(ddof=1)
-    standardized = (ordered - ordered.mean()) / (std if std > 0 else 1.0)
+    standardized = (ordered - ordered.mean()) / std
     grid = (np.arange(1, ordered.size + 1) - 0.5) / ordered.size
     counts, edges = np.histogram(ratios, bins=10)
     tables = {
@@ -341,7 +341,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             strike=args.strike_cpc,
             expiry_T=len(days) / DAYS_PER_YEAR,
             rate_r=args.rate,
-            steps_n=max(len(days), 1),
+            steps_n=len(days),
             ctr=args.ctr,
         )
         option_price = gbm_lattice.closed_form_price(GbmParams(spot_M0=spot, sigma=sigma), contract)

@@ -366,14 +366,13 @@ def estimate_sv(series: PriceSeries, window: int = 7) -> SvParams:
     slope = float(centred @ (dvol - dvol_mean)) / float(centred @ centred)
     intercept = dvol_mean - slope * level_mean
     kappa = -slope / dt
+    # positive: the level's spread, checked above, needs some volatility above zero
+    mean_level = float(np.mean(vol))
     if kappa > 0:
         theta = max(intercept / (kappa * dt), 0.0)
     else:
         kappa = 0.0
-        theta = float(np.mean(vol))
-    mean_level = float(np.mean(vol))
-    if mean_level <= 0:
-        raise ValueError("degenerate regression: zero realized volatility")
+        theta = mean_level
     max_lag = min(2 * window, max(dvol.size // 3, 1))
     delta = math.sqrt(_long_run_variance(dvol, max_lag) / (mean_level * dt))
     sigma0 = float(vol[0])

@@ -444,16 +444,15 @@ def closed_form_price(params: GbmParams, contract: OptionContract) -> float:
     spot = underlying_value(params.spot_M0, contract)
     if math.isinf(spot):
         raise OverflowError(f"spot {params.spot_M0!r} on the strike's basis overflows a float")
-    strike = contract.strike
-    r, T, sigma = contract.rate_r, contract.expiry_T, params.sigma
-    if strike <= 0:
+    # d1 from the discounted strike K' = K e^(-rT) has no (r + sigma^2 / 2) T to overflow
+    strike = discount(contract.strike, contract.rate_r, contract.expiry_T)
+    srt = params.sigma * math.sqrt(contract.expiry_T)
+    if srt == 0.0 or strike == 0.0:
+        return max(spot - strike, 0.0)
+    if math.isinf(srt):
         return spot
-    srt = sigma * math.sqrt(T)
-    if srt == 0.0:
-        return max(spot - discount(strike, r, T), 0.0)
-    d1 = (math.log(spot / strike) + (r + 0.5 * sigma * sigma) * T) / srt
-    d2 = d1 - srt
-    return spot * _norm_cdf(d1) - discount(strike, r, T) * _norm_cdf(d2)
+    d1 = math.log(spot / strike) / srt + 0.5 * srt
+    return spot * _norm_cdf(d1) - strike * _norm_cdf(d1 - srt)
 
 
 @dataclass(frozen=True)

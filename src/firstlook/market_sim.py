@@ -237,8 +237,12 @@ def revenue_analysis(
         )
         require_finite(f"the revenue of {day.day}", series[-1].total)
     totals = np.array([d.total for d in series])
-    mean = float(totals.mean()) if series else 0.0
-    std = float(totals.std(ddof=1)) if len(series) > 1 else 0.0
+    # finite days can still sum past the largest float
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(totals.mean()) if series else 0.0
+        std = float(totals.std(ddof=1)) if len(series) > 1 else 0.0
+    if not (math.isfinite(mean) and math.isfinite(std)):
+        raise ValueError(f"the mean revenue {mean!r} or its spread {std!r} is not finite")
     return RevenueReport(mean_revenue=mean, std_revenue=std, series=tuple(series))
 
 

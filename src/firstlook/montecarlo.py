@@ -143,6 +143,21 @@ def _generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
+def _check_volatility_step(points: Iterable[SvParams], dt: float) -> None:
+    """Refuse a point with ``kappa * dt >= 2``.
+
+    The Euler and Milstein mean-reversion factor ``1 - kappa * dt`` flips
+    the volatility's sign from ``kappa * dt = 2`` on, and the paths
+    diverge to a finite, wrong price.
+    """
+    kappa_dt = max(sv.kappa * dt for sv in points)
+    if kappa_dt >= 2:
+        raise ValueError(
+            f"kappa * dt = {kappa_dt!r} must be below 2 for a stable volatility step; "
+            "use more steps"
+        )
+
+
 def _walk_paths(
     points: Sequence[SvParams],
     drift: float,
@@ -162,18 +177,9 @@ def _walk_paths(
     path ``i + n_paths // 2`` walks path ``i``'s normals negated (antithetic
     pairs; ``advance`` subtracts their shocks, so no negated copy is made),
     so the first half is the unpaired walk of ``n_paths // 2`` paths.
-
-    The Euler and Milstein mean-reversion factor ``1 - kappa * dt`` flips
-    the volatility's sign from ``kappa * dt = 2`` on, and the paths
-    diverge to a finite, wrong price; so a point with ``kappa * dt >= 2``
-    is refused before anything is allocated.
+    An unstable volatility step is refused before anything is allocated.
     """
-    kappa_dt = max(sv.kappa * dt for sv in points)
-    if kappa_dt >= 2:
-        raise ValueError(
-            f"kappa * dt = {kappa_dt!r} must be below 2 for a stable volatility step; "
-            "use more steps"
-        )
+    _check_volatility_step(points, dt)
     rng = _generator(seed)
     m = np.empty((len(points), n_paths))
     sigma = np.empty_like(m)
@@ -186,21 +192,20 @@ def _walk_paths(
     # (first path, antithetic sign) of each half; a block's antithetic half
     # steps right after it, while its normals are in cache
     halves = [(0, False), (drawn_paths, True)] if paired else [(0, False)]
-    blocks = []
+    # the arguments of every advance call of one step, in order: block, half, point
+    calls = []
     for j in range(0, drawn_paths, PATH_BLOCK):
         width = min(PATH_BLOCK, drawn_paths - j)
-        eps_price, eps_vol = eps[:, j : j + width]
         for offset, antithetic in halves:
             state = slice(offset + j, offset + j + width)
-            states = [(m[p, state], sigma[p, state], sv) for p, sv in enumerate(points)]
-            blocks.append((eps_price, eps_vol, antithetic, scratch[:, :width], states))
+            calls += [(m[p, state], sigma[p, state], dt, drift, sv, eps[0, j : j + width],
+                       eps[1, j : j + width], scheme, scratch[:, :width], antithetic)
+                      for p, sv in enumerate(points)]
     yield m
     for _ in range(steps):
         rng.standard_normal(out=eps)
-        for eps_price, eps_vol, antithetic, block_scratch, states in blocks:
-            for m_block, sigma_block, sv in states:
-                advance(m_block, sigma_block, dt, drift, sv, eps_price, eps_vol,
-                        scheme, block_scratch, antithetic)
+        for args in calls:
+            advance(*args)
         yield m
 
 
@@ -335,6 +340,7 @@ def containment_sweep(
         raise ValueError("sweep values must not be empty")
     check_sweep(cfg, len(values))
     points = [replace(sv, **{param: float(value)}) for value in values]
+    _check_volatility_step(points, contract.expiry_T / cfg.steps)
     lattices = [price_sv_option(build_censored_lattice(point, contract)).price for point in points]
     group = max(1, SWEEP_GROUP_PATHS // cfg.n_paths)
     results = [

@@ -46,8 +46,11 @@ def _rounded(value):
 
 
 def json_dump(payload: dict, path: Path | None = None) -> None:
-    """Print ``payload`` as indented JSON with floats at 12 digits, also to ``path``."""
-    text = json.dumps(_rounded(payload), indent=2)
+    """Print ``payload`` as indented JSON with floats at 12 digits, also to ``path``.
+
+    A NaN or infinite number, which JSON cannot hold, raises ValueError.
+    """
+    text = json.dumps(_rounded(payload), indent=2, allow_nan=False)
     if path is not None:
         path.write_text(text + "\n")
     print(text)

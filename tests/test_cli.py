@@ -332,6 +332,26 @@ class TestPrice:
         assert math.isfinite(json.loads(out)["price"])
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--expiry", "1e10", "--sigma", "1e308"],
+            ["--expiry", "0.08", "--sigma", "1e200"],
+            ["--expiry", "1e300", "--rate", "0", "--sigma", "1e10"],
+        ],
+        ids=["inf-spread", "spread-1e200", "spread-1e160"],
+    )
+    def test_closed_form_at_unbounded_spread_is_the_spot(self, capsys, extra):
+        # sigma^2 T overflows in all three and sigma sqrt(T) in the first; the
+        # price is the limit, the spot: 2 CPM is 0.0066... per click at CTR 0.3
+        code, out, err = run(capsys, [
+            "price", "--method", "closed", "--spot", "2", "--strike", "0.005", "--ctr", "0.3",
+            *extra,
+        ])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["price"] == 0.00666666666667
+
+    @pytest.mark.filterwarnings("error")
     def test_top_cpm_pays_on_the_strike_basis(self, capsys):
         # 1e308 CPM is 1e305 per click: every lattice converts before exp, so none overflows
         prices = {}
@@ -426,6 +446,22 @@ class TestConverge:
         lines = out.read_text().splitlines()
         assert lines[0] == "method,n,price,abs_error"
         assert lines[1:] == [f"{m},{n},nan,nan" for m in cli.GBM_METHODS for n in (10, 20)]
+
+    @pytest.mark.parametrize(
+        "n_values,message",
+        [
+            ("10,x", "bad --n-values: invalid literal for int() with base 10: 'x'"),
+            (",", "--n-values must contain at least one step count"),
+        ],
+    )
+    def test_bad_n_values_usage_error(self, capsys, tmp_path, n_values, message):
+        out = tmp_path / "conv.csv"
+        code, stdout, err = run(capsys, [
+            "converge", *ITM_FLAGS, "--sigma", "0.5", f"--n-values={n_values}",
+            "--output", str(out),
+        ])
+        assert (code, stdout, err) == (2, "", f"error: {message}\n")
+        assert not out.exists()
 
     def test_empty_methods_usage_error(self, capsys, tmp_path):
         code, _, _ = run(
@@ -555,6 +591,27 @@ class TestDiagnose:
         if estimated:
             assert tuple(estimate) == SV_PARAMS
 
+    def test_eight_prices_estimate_neither_model(self, capsys, tmp_path):
+        # 7 ratios test, but the GBM estimate needs 10 prices and the SV one 21
+        path = self.write_series(tmp_path, self.gbm_prices(n=8))
+        out_dir = tmp_path / "o"
+        code, out, err = run(capsys, ["diagnose", "--input", str(path), "--output-dir", str(out_dir)])
+        assert (code, err) == (0, "")
+        verdict = json.loads(out)
+        assert (verdict["observations"], verdict["gbm_estimate"], verdict["sv_estimate"]) == (
+            8, None, None
+        )
+
+    def test_flat_first_window_reports_no_sv_estimate(self, capsys, tmp_path):
+        # seven unchanged prices open the series: the first realized volatility is 0
+        path = self.write_series(tmp_path, [2.0] * 7 + self.gbm_prices(n=53))
+        out_dir = tmp_path / "o"
+        code, out, err = run(capsys, ["diagnose", "--input", str(path), "--output-dir", str(out_dir)])
+        assert (code, err) == (0, "")
+        verdict = json.loads(out)
+        assert verdict["sv_estimate"] is None
+        assert set(verdict["gbm_estimate"]) == {"sigma", "mu"}
+
     def test_default_lags_need_five_ratios(self, capsys, tmp_path):
         path = self.write_series(tmp_path, self.gbm_prices(n=5))
         code, _, err = run(
@@ -599,6 +656,22 @@ class TestValidate:
                 "--hi", "4", "--points", "40", "--output", "never-written.csv", "--seed", "-1"]
         assert run(capsys, argv) == (1, "", "error: seed must be >= 0, got -1\n")
 
+    def test_unstable_volatility_step_refused_before_any_lattice(self, capsys, monkeypatch, tmp_path):
+        def never(*args):
+            raise AssertionError("an SV lattice was built for a sweep with kappa * dt >= 2")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(montecarlo, "build_censored_lattice", never)
+        # kappa * dt reaches 200 * 0.085 / 4 = 4.25
+        argv = ["validate", "--spot", "20", "--strike", "0.633", "--expiry", "0.085",
+                "--steps", "3000", "--sigma0", "0.5", "--kappa", "3", "--theta", "0.75",
+                "--delta", "0.35", "--param", "kappa", "--lo", "100", "--hi", "200",
+                "--points", "20", "--paths", "4", "--mc-steps", "4",
+                "--output", "never-written.csv"]
+        assert run(capsys, argv) == (1, "", "error: kappa * dt = 4.25 must be below 2 for a stable "
+                                            "volatility step; use more steps\n")
+        assert not (tmp_path / "never-written.csv").exists()
+
     def test_sweep_writes_rows_and_exits_zero_when_contained(self, capsys, tmp_path):
         out = tmp_path / "sweep.csv"
         code, _, _ = run(
@@ -617,16 +690,17 @@ class TestValidate:
 
     @pytest.mark.filterwarnings("error")
     def test_non_finite_prices_fail_the_sweep(self, capsys, tmp_path):
-        # the SV lattice's top terminal node overflows a float here
+        # the SV lattice's top terminal node overflows a float here; kappa 0
+        # passes the Monte Carlo step's stability check at dt = 1e5
         out = tmp_path / "v.csv"
         code, stdout, err = run(capsys, [
             "validate", "--spot", "5", "--strike", "0.1", "--expiry", "1e6", "--rate", "1",
-            "--steps", "20", "--sigma0", "0.5", "--kappa", "3", "--theta", "0.7", "--delta", "0.3",
+            "--steps", "20", "--sigma0", "0.5", "--kappa", "0", "--theta", "0.7", "--delta", "0.3",
             "--param", "delta", "--lo", "0.2", "--hi", "0.3", "--points", "2", "--paths", "1000",
             "--mc-steps", "10", "--output", str(out),
         ])
         assert (code, stdout) == (1, "")
-        assert err == "error: the inputs overflowed (terminal value exp(757606) overflows a float)\n"
+        assert err == "error: the inputs overflowed (terminal value exp(876572) overflows a float)\n"
         assert not out.exists()
 
     @pytest.mark.filterwarnings("error")
@@ -725,6 +799,21 @@ class TestSimulate:
         assert code == 2
         assert "not found" in err
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--scenario", "bull", "--strike-cpc", "0.03"], "--budget is required (flag or config)"),
+            (["--scenario", "bull", "--budget", "5"], "--strike-cpc is required (flag or config)"),
+            (["--config", "missing.json"], "config file not found: missing.json"),
+        ],
+        ids=["no-budget", "no-strike", "no-config-file"],
+    )
+    def test_missing_setting_usage_error(self, capsys, monkeypatch, tmp_path, argv, message):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, ["simulate", *argv, "--output-dir", "sim"])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert not (tmp_path / "sim").exists()
+
     def test_config_file_defaults(self, capsys, tmp_path):
         config = tmp_path / "scenario.json"
         config.write_text(json.dumps({
@@ -815,6 +904,9 @@ class TestSimulate:
         [
             (["--days", "200000"], "n_days = 200000 exceeds supported maximum 36500"),
             (["--days", "100", "--drift", "1e5"], "not finite from day 3 of 100"),
+            # every day's revenue is finite at 1.44e308, their sum is not
+            (["--days", "30", "--option-price", "3e306"],
+             "the mean revenue inf or its spread inf is not finite"),
         ],
     )
     def test_runaway_path_exit_one(self, tmp_path, child_env, extra, message):
@@ -842,9 +934,11 @@ class TestSimulate:
             (["--sigma", "-1"], "error: sigma must be >= 0, got -1.0"),
             (["--option-price", "1e308"], "the revenue of 2013-02-08 must be finite, got inf"),
             (["--spot-cpm", "1e308"], "the revenue of 2013-02-08 must be finite, got inf"),
+            (["--days", "0"], "error: n_days must be >= 1, got 0"),
+            (["--supply", "0"], "error: base_supply must be >= 1, got 0"),
         ],
         ids=["underflow", "budget-inf", "budget-nan", "premium-inf", "premium-nan", "strike-inf",
-             "sigma-negative", "premium-overflow", "spot-overflow"],
+             "sigma-negative", "premium-overflow", "spot-overflow", "no-days", "no-supply"],
     )
     def test_bad_input_one_line_exit_one(self, capsys, tmp_path, extra, message):
         out_dir = tmp_path / "sim"

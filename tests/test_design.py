@@ -95,6 +95,19 @@ def test_only_output_rounds_numbers():
     assert holders == ["output.py"]
 
 
+def test_only_output_writes_json_and_refuses_non_finite_numbers():
+    # JSON has no NaN or Infinity: one json.dumps, in output.py, raises on
+    # them instead of printing a report no JSON reader takes
+    calls = [
+        f"{path.name}: {ast.unparse(node)}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and ast.unparse(node.func) in ("json.dump", "json.dumps")
+    ]
+    assert calls == ["output.py: json.dumps(_rounded(payload), indent=2, allow_nan=False)"]
+
+
 def test_only_contracts_defines_a_terminal_payoff():
     # every lattice pays through contracts.terminal_payoff, one overflow policy
     # for all; Monte Carlo's state is linear CPM, so it calls payoff directly

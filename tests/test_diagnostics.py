@@ -118,6 +118,13 @@ class TestPriceSeries:
         assert s.prices == (1.5, 1.6, 1.55)
         assert s.dates[0] == date(2013, 1, 8)
 
+    def test_csv_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "series.csv"
+        path.write_text("date,price\n2013-01-08,1.5\n\n2013-01-09,1.6\n , \n2013-01-10,1.55\n")
+        s = PriceSeries.from_csv(path)
+        assert s.prices == (1.5, 1.6, 1.55)
+        assert s.dates == (date(2013, 1, 8), date(2013, 1, 9), date(2013, 1, 10))
+
     def test_csv_error_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("date,price\n2013-01-08,1.5\n2013-01-09,oops\n")
@@ -511,6 +518,25 @@ class TestEstimateSv:
         s = PriceSeries.from_prices([1.0 * 1.02**i for i in range(60)])
         with pytest.raises(ValueError, match="degenerate"):
             estimate_sv(s, window=7)
+
+    # log ratios of alternating sign whose size grows 5% a step: the realized
+    # volatility grows about as fast, so its increments rise with its level
+    GROWING_RATIOS = [(-1) ** i * 0.01 * 1.05**i for i in range(60)]
+
+    def test_rising_volatility_fits_no_reversion(self):
+        s = PriceSeries.from_prices(list(np.exp(np.cumsum([0.0, *self.GROWING_RATIOS]))))
+        vol = realized_vol(s, window=7)
+        assert np.polyfit(vol[:-1], np.diff(vol), 1)[0] > 0
+        est = estimate_sv(s, window=7)
+        assert (est.kappa, est.theta) == (0.0, float(np.mean(vol)))
+        assert est.delta > 0
+
+    def test_flat_first_window_rejected(self):
+        # seven unchanged prices: the first window's volatility, sigma0, is zero
+        prices = [1.0] * 7 + list(np.exp(np.cumsum([0.0, *self.GROWING_RATIOS])))
+        message = "^degenerate input: first realized-volatility window is zero$"
+        with pytest.raises(ValueError, match=message):
+            estimate_sv(PriceSeries.from_prices(prices), window=7)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_closed_form_fit_matches_polyfit(self, seed):

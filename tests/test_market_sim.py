@@ -163,6 +163,22 @@ class TestRevenueAnalysis:
         with pytest.raises(ValueError, match=r"^the revenue of 2013-02-09 must be finite, got inf$"):
             revenue_analysis(days, CTR, 0.2, 0.004, 0.02)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "supplies,premium,message",
+        [
+            # two finite days of 30 options at 5e306 sum past the largest float
+            ((1000, 1000), 5e306, r"^the mean revenue inf or its spread inf is not finite$"),
+            # a finite mean of about 3e306 whose squared deviations overflow
+            ((1000, 1), 2e305, r"^the mean revenue 2\.99\d*e\+306 or its spread inf is not finite$"),
+        ],
+        ids=["mean", "spread"],
+    )
+    def test_non_finite_statistics_refused(self, supplies, premium, message):
+        days = [day(1.0, supply, i) for i, supply in enumerate(supplies)]
+        with pytest.raises(ValueError, match=message):
+            revenue_analysis(days, CTR, 1.0, premium, 0.02)
+
     def test_series_statistics(self):
         days = [day(0.9, 5000, 0), day(1.1, 5000, 1)]
         report = revenue_analysis(days, CTR, 0.0, 0.0, 0.02)

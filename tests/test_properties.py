@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from firstlook.contracts import GbmParams, OptionContract, underlying_value
+from firstlook.contracts import GbmParams, OptionContract, discount, underlying_value
 from firstlook.gbm_lattice import (
     LatticeMethod,
     MethodKind,
@@ -79,6 +79,30 @@ def test_no_arbitrage_bounds(m, steps):
         # fall below the floor (bounded by the breach test below)
         if kind is not MethodKind.KR_TRIN:
             assert p >= floor - ROUNDOFF * spot, kind
+
+
+@PROPERTY_SETTINGS
+@given(
+    log_sigma=st.floats(-3.0, 308.0),
+    log_expiry=st.floats(-300.0, 300.0),
+    rate=st.floats(0.0, 0.2),
+    spot=st.floats(0.1, 50.0),
+    moneyness=st.floats(0.0, 3.0),
+)
+def test_closed_form_bounded_at_extreme_spreads(log_sigma, log_expiry, rate, spot, moneyness):
+    # sigma^2 T overflows over much of this range and sigma sqrt(T) at its top;
+    # the price is still bounded, and at the limit it is the spot
+    params = GbmParams(spot_M0=spot, sigma=10.0**log_sigma)
+    contract = OptionContract(
+        strike=moneyness * spot / 1000.0, expiry_T=10.0**log_expiry, rate_r=rate, steps_n=1, ctr=1.0
+    )
+    p = closed_form_price(params, contract)
+    quoted = underlying_value(spot, contract)
+    floor = max(quoted - discount(contract.strike, rate, contract.expiry_T), 0.0)
+    assert math.isfinite(p)
+    assert floor - ROUNDOFF * quoted <= p <= quoted
+    if params.sigma * math.sqrt(contract.expiry_T) >= 1e160:
+        assert p == quoted
 
 
 @PROPERTY_SETTINGS
