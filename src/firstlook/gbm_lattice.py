@@ -451,7 +451,9 @@ def closed_form_price(params: GbmParams, contract: OptionContract) -> float:
         return max(spot - strike, 0.0)
     if math.isinf(srt):
         return spot
-    d1 = math.log(spot / strike) / srt + 0.5 * srt
+    ratio = spot / strike
+    # a ratio that underflows to 0 has ln = -inf: the call is too far out of the money to pay
+    d1 = math.log(ratio) / srt + 0.5 * srt if ratio else -math.inf
     return spot * _norm_cdf(d1) - strike * _norm_cdf(d1 - srt)
 
 

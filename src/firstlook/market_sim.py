@@ -78,8 +78,9 @@ class SimulationLedger:
 def _rtb_fill(budget: float, cpm: float, supply: int, ctr: float) -> tuple[int, int, float]:
     """Impressions, clicks and spend when a budget meets the spot market."""
     price_per_impression = cpm / 1000.0
-    affordable = int(math.floor(budget / price_per_impression)) if budget > 0 else 0
-    impressions = min(supply, affordable)
+    # a budget that buys the whole supply fills it, at a price that rounds to 0 too
+    affordable = budget / price_per_impression if price_per_impression > 0 else math.inf
+    impressions = 0 if budget <= 0 else supply if affordable >= supply else int(affordable)
     spend = impressions * price_per_impression
     clicks = int(math.floor(impressions * ctr))
     return impressions, clicks, spend

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
@@ -45,11 +46,22 @@ def _rounded(value):
     return value
 
 
+def _non_finite(payload: dict, prefix: str):
+    """Dotted key and value of each NaN or infinite float in ``payload``, in order."""
+    for key, value in payload.items():
+        if isinstance(value, dict):
+            yield from _non_finite(value, f"{prefix}{key}.")
+        elif isinstance(value, float) and not math.isfinite(value):
+            yield f"{prefix}{key}", value
+
+
 def json_dump(payload: dict, path: Path | None = None) -> None:
     """Print ``payload`` as indented JSON with floats at 12 digits, also to ``path``.
 
-    A NaN or infinite number, which JSON cannot hold, raises ValueError.
+    A NaN or infinite number, which JSON cannot hold, raises ValueError naming its key.
     """
+    for key, value in _non_finite(payload, ""):
+        raise ValueError(f"report value {key} = {value!r} is not finite")
     text = json.dumps(_rounded(payload), indent=2, allow_nan=False)
     if path is not None:
         path.write_text(text + "\n")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import repeat
 from typing import IO, Iterator
@@ -27,14 +28,10 @@ from .contracts import (OptionContract, SvParams, discount, expected_payoff, ter
                         underlying_value)
 from .output import row_format, write_table
 
-# the build holds one chunk of levels at a time, so memory is O(n) while time
-# stays O(n^2): at n = 5000 build and price take about 0.23 s and 1.0 MB
-# (2-vCPU Intel Xeon, Python 3.11, numpy 2.4)
+# the build holds one level at a time, so memory is O(n) and time O(n^2): at n = 5000
+# build and price take about 0.09 s and 0.3 MB (2-vCPU Intel Xeon, Python 3.11, numpy 2.4)
 MAX_SV_STEPS = 5_000
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
-# every array of a chunk holds at most this many 8-byte values (64 KB), under
-# glibc's 128 KB mmap threshold: a larger array comes from fresh pages each chunk
-_CHUNK_VALUES = 8192
 
 
 def vol_mean_path(params: SvParams, t: float) -> float:
@@ -57,57 +54,73 @@ def nearest_grid_index(x: float, spacing: float) -> int:
     return int(math.floor(x / spacing + 0.5))
 
 
-def _chunk_levels(k0: int, n: int) -> int:
-    """Levels from k0 that one chunk walks: the most L with L * (k0 + L + 1) <= _CHUNK_VALUES."""
-    b = k0 + 1
-    return max(1, min(n - k0, (math.isqrt(b * b + 4 * _CHUNK_VALUES) - b) // 2))
+def _log_prices(grid: tuple, nodes):
+    """Log prices of a level's ``nodes`` (an index or an int array) on its ``grid``,
+    (j_in, spacing_in, drift_in): the previous level's top grid index and this level's."""
+    j_in, spacing_in, drift_in = grid
+    return ((j_in + 1) - 2 * nodes) * spacing_in + drift_in
 
 
-def _walk_chunk(k0: int, steps: list[tuple], evens: np.ndarray, x: np.ndarray, q: np.ndarray):
-    """Levels k0, k0 + 1, ... through the transitions ``steps``, from level k0's ``x`` and ``q``.
+def _displacements(grid: tuple, step: tuple, nodes):
+    """K = x - J * spacing of a level's ``nodes``, linear in the node index."""
+    _, k_top, spacing = step
+    return k_top + 2 * (spacing - grid[1]) * nodes
 
-    ``steps`` holds each transition's (j_top, spacing, drift). Returns the
-    levels as ``walk_levels`` yields them, the log prices and masses of the
-    level after them, and False if a sum over the new values is not finite.
-    A non-finite K or x shows in K's sum, or in the next level's x, and a
-    non-finite mass carries on to the level after the chunk.
-    """
-    rows = len(steps)
-    width = k0 + rows + 1  # nodes of the level after the chunk
-    j_top, spacing, drift = (np.array(column)[:, None] for column in zip(*steps))
-    # a fault shows as a non-finite value, which walk_levels reports
-    with np.errstate(all="ignore"):
-        j = j_top - evens[:width]
-        # a contiguous operand: numpy broadcasts a column at a fraction of its speed
-        spacing = spacing.repeat(width, axis=1)
-        # each level's successor: x_next[r] = ((j_top + 1) - evens) * spacing + drift
-        x_next = np.multiply(j + 1, spacing)
-        np.add(x_next, drift, out=x_next)
-        k_adj = np.multiply(j, spacing)
-        np.subtract(x, k_adj[0, : k0 + 1], out=k_adj[0, : k0 + 1])
-        np.subtract(x_next[:-1], k_adj[1:], out=k_adj[1:])
-        up_share = np.divide(k_adj, spacing, out=spacing)
-        np.add(1.0, up_share, out=up_share)
-        q_up = np.empty((rows, width - 1))
-        q_down = np.empty((rows, width - 1))
-        q_next = np.empty((rows, width))
-        levels = []
-        for r in range(rows):
-            m = k0 + r + 1
-            up, down = q_up[r, :m], q_down[r, :m]
-            np.multiply(0.5, q, out=up)
-            np.multiply(up, up_share[r, :m], out=up)
+
+def _walk(params: SvParams, contract: OptionContract) -> Iterator[tuple]:
+    """Yield level k as ``(q, q_up, q_down, grid, step)``, fresh arrays each level; raises as
+    ``walk_levels``. ``step`` is (j_top, k_top, spacing), the top node's grid index and
+    displacement on the next level's grid; the terminal level has no step and no flows."""
+    contract.check_steps(MAX_SV_STEPS)
+    dt = contract.dt
+    index = np.arange(float(contract.steps_n))
+    grid, q = (-1, 0.0, 0.0), np.array([1.0])  # level 0 is the one node x = 0
+    for k in range(contract.steps_n):
+        j_in, spacing_in, drift_in = grid
+        sigma_next = vol_mean_path(params, (k + 1) * dt)
+        spacing = sigma_next * math.sqrt(dt)
+        drift = (contract.rate_r - 0.5 * sigma_next * sigma_next) * dt
+        x_top = _log_prices(grid, 0)
+        # the spacing must be positive, and j_top = floor(x_top / spacing + 0.5)
+        # must keep j_top + 1 and j_top - 2k - 1 in int64
+        if not (spacing > 0 and _INT64_MIN + 2 * k + 1 <= x_top / spacing + 0.5 < _INT64_MAX):
+            raise ValueError(f"grid index does not fit in int64 while building level {k + 1}, "
+                             f"volatility {sigma_next!r}")
+        j_top = nearest_grid_index(x_top, spacing)
+        # x_top - j_top * spacing, from terms the size of the spacing: the
+        # difference itself cancels down to about |x_top| eps at every node
+        k_top = (j_in + 1) * (spacing_in - spacing) + drift_in - (j_top - j_in - 1) * spacing
+        step, next_grid = (j_top, k_top, spacing), (j_top, spacing, drift)
+        # node i's half up-share (1 + K_i / spacing) / 2 is a + b i
+        a, b = 0.5 + 0.5 * k_top / spacing, (spacing - spacing_in) / spacing
+        # log prices fall with the node index and K and the shares are linear in it, so
+        # the end nodes bound them all, and finite shares keep every mass in [0, q]; only
+        # a fault (or an overflowed sum of finite ends) silences numpy and runs the scan
+        finite = math.isfinite(_log_prices(next_grid, 0) + _log_prices(next_grid, k + 1) + k_top
+                               + _displacements(grid, step, k) + a + (a + b * k))
+        with nullcontext() if finite else np.errstate(all="ignore"):
+            q_up = np.multiply(b, index[: k + 1])
+            np.add(q_up, a, out=q_up)
+            np.multiply(q_up, q, out=q_up)
             # np.clip's values, NaN included, at a fraction of its call overhead
-            np.maximum(up, 0.0, out=up)
-            np.minimum(up, q, out=up)
-            np.subtract(q, up, out=down)
-            levels.append((x, q, j[r, :m], k_adj[r, :m], up, down))
-            x, q = x_next[r, : m + 1], q_next[r, : m + 1]
-            q[0] = up[0]
-            np.add(down[:-1], up[1:], out=q[1:m])
-            q[m] = down[-1]
-        finite = math.isfinite(k_adj.sum() + x.sum() + q.sum())
-    return levels, x, q, finite
+            np.maximum(q_up, 0.0, out=q_up)
+            np.minimum(q_up, q, out=q_up)
+            q_down = q - q_up
+            q_next = np.empty(k + 2)
+            q_next[0] = q_up[0]
+            np.add(q_down[:-1], q_up[1:], out=q_next[1 : k + 1])
+            q_next[k + 1] = q_down[-1]
+            if not finite:
+                nodes = np.arange(k + 2)
+                for name, arr in (("x", _log_prices(next_grid, nodes)), ("Q", q_next),
+                                  ("K", _displacements(grid, step, nodes[:-1]))):
+                    bad = np.flatnonzero(~np.isfinite(arr))
+                    if bad.size:
+                        raise ValueError(f"non-finite {name} while building level {k + 1}, "
+                                         f"node {bad[0]}")
+        yield q, q_up, q_down, grid, step
+        grid, q = next_grid, q_next
+    yield q, None, None, grid, None
 
 
 def walk_levels(params: SvParams, contract: OptionContract) -> Iterator[tuple]:
@@ -125,61 +138,16 @@ def walk_levels(params: SvParams, contract: OptionContract) -> Iterator[tuple]:
     spacing is not positive or a grid index does not fit in int64, and
     for step counts above MAX_SV_STEPS.
 
-    A level's grid follows from its top index, spacing and drift alone,
-    so those recur in Python and a chunk of levels gets its grid in a few
-    2-D numpy calls; only the mass runs level by level, in the ufunc order
-    of a walk that builds each level on its own, whose bits it keeps. The
-    yielded arrays, the terminal level's included, are views into the chunk's.
+    A level's nodes sit on one evenly spaced grid, so K and the up-share
+    are linear in the node index, and the walk steps the masses from two scalars.
     """
-    contract.check_steps(MAX_SV_STEPS)
-    n = contract.steps_n
-    dt = contract.dt
-    sqrt_dt = math.sqrt(dt)
-    # level k's grid indices are j_top - evens[:k+1], the next level's log
-    # prices ((j_top + 1) - evens[:k+2]) * spacing + drift
-    evens = 2 * np.arange(n + 1)
-    x_top = 0.0
-    x, q = np.array([0.0]), np.array([1.0])
-    k0 = 0
-    while k0 < n:
-        steps = []
-        fault = None
-        for k in range(k0, k0 + _chunk_levels(k0, n)):
-            sigma_next = vol_mean_path(params, (k + 1) * dt)
-            spacing = sigma_next * sqrt_dt
-            drift = (contract.rate_r - 0.5 * sigma_next * sigma_next) * dt
-            # the spacing must be positive, and j_top = floor(x_top / spacing + 0.5)
-            # must keep j_top + 1 and j_top - 2k - 1 in int64
-            if not (spacing > 0 and _INT64_MIN + 2 * k + 1 <= x_top / spacing + 0.5 < _INT64_MAX):
-                fault = ValueError(
-                    f"grid index does not fit in int64 while building level {k + 1}, "
-                    f"volatility {sigma_next!r}"
-                )
-                break
-            j_top = nearest_grid_index(x_top, spacing)
-            steps.append((j_top, spacing, drift))
-            x_top = (j_top + 1) * spacing + drift
-
-        if steps:
-            levels, x, q, finite = _walk_chunk(k0, steps, evens, x, q)
-            for r, level in enumerate(levels):
-                # a sum turns non-finite with any value, so the scan runs only on a
-                # fault (or on finite values whose sum overflowed, where it finds nothing)
-                if not finite:
-                    x_next, q_next = levels[r + 1][:2] if r + 1 < len(levels) else (x, q)
-                    for name, arr in (("x", x_next), ("Q", q_next), ("K", level[3])):
-                        bad = np.flatnonzero(~np.isfinite(arr))
-                        if bad.size:
-                            raise ValueError(
-                                f"non-finite {name} while building level {k0 + r + 1}, "
-                                f"node {bad[0]}"
-                            )
-                yield level
-            k0 += len(levels)
-        if fault is not None:
-            raise fault
-
-    yield x, q, None, None, None, None
+    for q, q_up, q_down, grid, step in _walk(params, contract):
+        nodes = np.arange(q.size)
+        x = _log_prices(grid, nodes)
+        if step is None:
+            yield x, q, None, None, None, None
+        else:
+            yield x, q, step[0] - 2 * nodes, _displacements(grid, step, nodes), q_up, q_down
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,8 +162,8 @@ class SvLattice:
 
 def build_censored_lattice(params: SvParams, contract: OptionContract) -> SvLattice:
     """Walk the lattice to its terminal level; raises as ``walk_levels``."""
-    x, q, *_ = deque(walk_levels(params, contract), maxlen=1).pop()
-    return SvLattice(params, contract, x, q)
+    q, _, _, grid, _ = deque(_walk(params, contract), maxlen=1).pop()
+    return SvLattice(params, contract, _log_prices(grid, np.arange(q.size)), q)
 
 
 @dataclass(frozen=True)

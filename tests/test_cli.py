@@ -1057,6 +1057,24 @@ class TestExtremeValues:
                     faults.append(f"{flag}={value}: {fault}")
         assert faults == []
 
+    @pytest.mark.parametrize("command", [
+        ["price", "--method", "closed"],
+        ["converge", "--n-values", "4,8", "--output", "{tmp}/conv.csv"],
+    ], ids=["price-closed", "converge"])
+    def test_spot_strike_ratio_that_underflows(self, capsys, tmp_path, command):
+        # S / K' is 0 in floats, so ln of it is -inf and the call pays nothing;
+        # converge prices the closed form as its benchmark
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in command] + [
+            "--spot", "1e-300", "--strike", "1e300", "--strike-basis", "per-mille",
+            "--expiry", "1", "--sigma", "0.5"]
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        if command[0] == "price":
+            assert json.loads(out)["price"] == 0.0
+        else:
+            rows = (tmp_path / "conv.csv").read_text().splitlines()[1:]
+            assert rows and all(row.endswith(",0,0") for row in rows)
+
 
 class TestFrozenOutputs:
     """SHA-256 of each command's exit code, stdout, stderr and output files.

@@ -166,3 +166,35 @@ def test_one_walk_draws_the_normals():
         "standard_normal": {"montecarlo._walk_paths"},
         "_generator": {"montecarlo._walk_paths"},
     }
+
+
+def _is_log_price(node: ast.AST) -> bool:
+    """``<index> * spacing + drift``: a node's log price on a lattice grid."""
+    def named(side, word):
+        return isinstance(side, ast.Name) and word in side.id
+
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)):
+        return False
+    sides = (node.left, node.right)
+    return any(named(side, "drift") for side in sides) and any(
+        isinstance(side, ast.BinOp) and isinstance(side.op, ast.Mult)
+        and (named(side.left, "spacing") or named(side.right, "spacing"))
+        for side in sides
+    )
+
+
+def test_one_walk_steps_the_sv_masses():
+    # _walk owns the SV mass recursion and its fault checks, and only
+    # _log_prices places a node, so the build, the node dump and the fault
+    # scan see each level's log prices bit for bit alike
+    callers, formed = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if isinstance(func, ast.FunctionDef):
+                for node in ast.walk(func):
+                    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_walk":
+                        callers.add(f"{path.stem}.{func.name}")
+                    if _is_log_price(node):
+                        formed.add(f"{path.stem}.{func.name}")
+    assert callers == {"sv_lattice.build_censored_lattice", "sv_lattice.walk_levels"}
+    assert formed == {"sv_lattice._log_prices"}

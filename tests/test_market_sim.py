@@ -45,6 +45,13 @@ class TestSimulateRtb:
         assert row.spend == pytest.approx(3812 * 0.9903 / 1000)
         assert row.clicks == math.floor(3812 * CTR)
 
+    @pytest.mark.parametrize("cpm", [1e-308, 5e-324])
+    def test_price_that_rounds_away_fills_the_supply(self, cpm):
+        # budget / (cpm / 1000) is inf, or a division by a price that rounds to 0
+        row = simulate_rtb(5.0, [day(cpm, supply=3812)], CTR).rows[0]
+        assert (row.impressions, row.clicks) == (3812, math.floor(3812 * CTR))
+        assert row.spend == 3812 * (cpm / 1000.0)
+
     def test_zero_budget_all_zero(self):
         ledger = simulate_rtb(0.0, flat_market(1.0, 5), CTR)
         assert all(r.impressions == 0 for r in ledger.rows)

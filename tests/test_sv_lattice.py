@@ -16,8 +16,6 @@ from firstlook.sv_lattice import (
     MAX_SV_STEPS,
     SvLattice,
     _backward_values,
-    _chunk_levels,
-    _walk_chunk,
     build_censored_lattice,
     lattice_to_csv,
     nearest_grid_index,
@@ -26,11 +24,14 @@ from firstlook.sv_lattice import (
     walk_levels,
 )
 from mean_path_oracle import black_call, censoring_binds, mean_path_variance, mean_vol_path
-from walk_oracle import censored_transition, oracle_levels
+from walk_oracle import censored_transition, exact_walk, oracle_levels
 
 # empirical SSP-slot configuration: two-week option on a 0.7417 CPM slot
 SSP_SV = SvParams(spot_M0=0.7417, sigma0=0.8723, kappa=96.4953, theta=0.2959, delta=14.9874)
 SSP_CONTRACT = OptionContract(strike=0.0223, expiry_T=0.0384, rate_r=0.05, steps_n=14, ctr=0.03)
+# criterion 6's setting
+WIDE_SV = SvParams(spot_M0=20.0, sigma0=0.5, kappa=3.0, theta=0.75, delta=0.35)
+WIDE_CONTRACT = OptionContract(strike=0.633, expiry_T=31 / 365, rate_r=0.05, steps_n=200, ctr=0.03)
 
 
 class TestVolMeanPath:
@@ -205,15 +206,6 @@ class TestBuild:
             build_censored_lattice(sv, c)
 
 
-def chunk_edges(count):
-    """The first ``count`` levels at which ``walk_levels`` starts a new chunk."""
-    edges, k0 = [], 0
-    while len(edges) < count:
-        k0 += _chunk_levels(k0, MAX_SV_STEPS)
-        edges.append(k0)
-    return edges
-
-
 def same_bits(a, b):
     if a is None or b is None:
         return a is b
@@ -232,14 +224,10 @@ def walk_outcome(levels):
     return count, None
 
 
-class TestChunkedWalk:
-    """``walk_levels`` against the level-at-a-time walk in ``walk_oracle``."""
+class TestLevelWalk:
+    """``walk_levels`` against the direct construction in ``walk_oracle``."""
 
-    EDGES = chunk_edges(2)
-    STEPS = [1, *(e + d for e in EDGES for d in (-1, 0, 1)), 3000, MAX_SV_STEPS]
-
-    def test_edges_are_chunk_boundaries(self):
-        assert self.EDGES == [90, 145]
+    STEPS = [1, 2, 89, 90, 91, 145, 1000, 3000, MAX_SV_STEPS]
 
     @pytest.mark.parametrize("n", STEPS)
     def test_every_level_bit_for_bit(self, n):
@@ -253,30 +241,26 @@ class TestChunkedWalk:
         )
         c = OptionContract(strike=0.03, expiry_T=float(rng.uniform(0.01, 0.5)),
                            rate_r=float(rng.uniform(0.0, 0.1)), steps_n=n, ctr=0.03)
-        # in lockstep, so that at most a chunk of either walk is alive
+        # x and J are the oracle's bits; K comes from two scalars a level, not
+        # from x - J * spacing, so it agrees to a few ulps of the level's
+        # largest |x|, and the masses to the roundoff that carries
         walked = 0
         for level, expected in zip(walk_levels(sv, c), oracle_levels(sv, c), strict=True):
-            assert all(same_bits(a, b) for a, b in zip(level, expected, strict=True)), walked
+            x, q, j, k_adj, q_up, q_down = level
+            assert same_bits(x, expected[0]) and same_bits(j, expected[2]), walked
+            if k_adj is not None:
+                ulp = np.spacing(np.abs(x).max())
+                assert np.abs(k_adj - expected[3]).max() <= 4 * ulp, walked
+            for got, want in zip((q, q_up, q_down), (expected[1], *expected[4:])):
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert np.abs(got - want).max() <= 1e-13, walked
             walked += 1
         assert walked == n + 1
 
-    @pytest.mark.parametrize("bad", [None, "x", "q"])
-    def test_chunk_sum_sees_every_fault(self, bad):
-        # an infinite x on entry shows only in K, which censoring absorbs, and
-        # a NaN mass only in the masses; the grid recurs finite from the steps
-        x, q = np.array([0.1, -0.1]), np.array([0.5, 0.5])
-        if bad is not None:
-            {"x": x, "q": q}[bad][1] = {"x": math.inf, "q": math.nan}[bad]
-        steps = [(0, 0.1, 0.001), (1, 0.1, 0.001)]
-        levels, x_next, q_next, finite = _walk_chunk(1, steps, 2 * np.arange(4), x, q)
-        assert np.isfinite(x_next).all()
-        assert finite is (bad is None)
-
     def test_price_does_not_depend_on_terminal_alignment(self):
-        # the terminal level is a view into its chunk, wherever that puts it;
         # copies at each 8-byte offset of a 64-byte line price to the same bits
         lattice = build_censored_lattice(SSP_SV, replace(SSP_CONTRACT, steps_n=200))
-        assert lattice.x.base is not None and lattice.q.base is not None
         price = price_sv_option(lattice).price
         size = lattice.x.size
         for offset in range(8):
@@ -302,10 +286,30 @@ class TestChunkedWalk:
         ],
         ids=["int64", "non-finite"],
     )
-    def test_fault_past_the_first_chunk(self, sv, contract, message):
+    def test_fault_deep_in_the_walk(self, sv, contract, message):
         outcome = walk_outcome(walk_levels(sv, contract))
         assert outcome == walk_outcome(oracle_levels(sv, contract))
-        assert outcome[1] == message and outcome[0] > self.EDGES[0]
+        assert outcome[1] == message and outcome[0] > 90
+
+
+class TestExactWalk:
+    """The float walk against the same grid walked in 40-digit arithmetic.
+
+    The masses carry the walk's own roundoff, which these bounds hold near
+    the 1.4e-17 to 2.6e-17 measured; a walk that formed each K as
+    x - J * spacing read up to 1.4e-16. The price also carries the
+    payoff's float log and exp, 2.8e-15 relative on SSP at n = 14.
+    """
+
+    @pytest.mark.parametrize("sv,contract", [(SSP_SV, SSP_CONTRACT), (WIDE_SV, WIDE_CONTRACT)],
+                             ids=["SSP", "WIDE"])
+    @pytest.mark.parametrize("n", [14, 200])
+    def test_masses_and_price(self, sv, contract, n):
+        c = replace(contract, steps_n=n)
+        _, q, price = exact_walk(sv, c)
+        lattice = build_censored_lattice(sv, c)
+        assert max(abs(float(got - want)) for got, want in zip(lattice.q, q)) <= 4e-17
+        assert abs(price_sv_option(lattice).price - price) <= 3e-15 * price
 
 
 class TestPricing:
@@ -466,10 +470,13 @@ class TestFrozenOutputs:
     The lattice is plain float arithmetic in a fixed order, so any change
     to that order moves these values. The prices were re-pinned, each by one
     ulp and each onto the correctly rounded sum times the discount, when
-    the terminal sum left ``np.dot`` for ``contracts.expected_payoff``.
+    the terminal sum left ``np.dot`` for ``contracts.expected_payoff``. The
+    n = 200 and 1000 prices moved one and two ulps, each toward the 40-digit
+    walk of the same grid, when the walk began to form each level's
+    displacements from two scalars instead of as x - J * spacing.
     """
 
-    PRICES = {14: "0x1.50538acb9fc59p-9", 200: "0x1.54e25832fcf8dp-9", 1000: "0x1.55399a909747bp-9"}
+    PRICES = {14: "0x1.50538acb9fc59p-9", 200: "0x1.54e25832fcf8cp-9", 1000: "0x1.55399a9097479p-9"}
     DUMP_SHA256 = "b1b990ca05d1f0669289c2ffc1d3e79f39a0cd396a33304c610e015178505162"
 
     @pytest.mark.parametrize("n", sorted(PRICES))
