@@ -61,7 +61,7 @@ def json_dump(payload: dict, path: Path | None = None) -> None:
     A NaN or infinite number, which JSON cannot hold, raises ValueError naming its key.
     """
     for key, value in _non_finite(payload, ""):
-        raise ValueError(f"report value {key} = {value!r} is not finite")
+        raise ValueError(f"report value {key} = {float(value)!r} is not finite")
     text = json.dumps(_rounded(payload), indent=2, allow_nan=False)
     if path is not None:
         path.write_text(text + "\n")

@@ -9,6 +9,8 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from firstlook.contracts import GbmParams, OptionContract, SvParams
 from firstlook.gbm_lattice import LatticeMethod, MethodKind, binomial_price_sum, closed_form_price
@@ -16,6 +18,7 @@ from firstlook.sv_lattice import (
     MAX_SV_STEPS,
     SvLattice,
     _backward_values,
+    _step,
     build_censored_lattice,
     lattice_to_csv,
     nearest_grid_index,
@@ -229,6 +232,28 @@ class TestLevelWalk:
 
     STEPS = [1, 2, 89, 90, 91, 145, 1000, 3000, MAX_SV_STEPS]
 
+    @staticmethod
+    def walk_against_oracle(sv, c):
+        """Walk ``sv`` and ``c`` beside the oracle; the number of levels that censor a node."""
+        # x and J are the oracle's bits; K comes from two scalars a level, not
+        # from x - J * spacing, so it agrees to a few ulps of the level's
+        # largest |x|, and the masses to the roundoff that carries
+        walked = censored = 0
+        for level, expected in zip(walk_levels(sv, c), oracle_levels(sv, c), strict=True):
+            x, q, j, k_adj, q_up, q_down = level
+            assert same_bits(x, expected[0]) and same_bits(j, expected[2]), walked
+            if k_adj is not None:
+                ulp = np.spacing(np.abs(x).max())
+                assert np.abs(k_adj - expected[3]).max() <= 4 * ulp, walked
+                censored += bool((((q_up == 0) | (q_down == 0)) & (q > 0)).any())
+            for got, want in zip((q, q_up, q_down), (expected[1], *expected[4:])):
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert np.abs(got - want).max() <= 1e-13, walked
+            walked += 1
+        assert walked == c.steps_n + 1
+        return censored
+
     @pytest.mark.parametrize("n", STEPS)
     def test_every_level_bit_for_bit(self, n):
         rng = np.random.default_rng(20261019 + n)
@@ -241,22 +266,14 @@ class TestLevelWalk:
         )
         c = OptionContract(strike=0.03, expiry_T=float(rng.uniform(0.01, 0.5)),
                            rate_r=float(rng.uniform(0.0, 0.1)), steps_n=n, ctr=0.03)
-        # x and J are the oracle's bits; K comes from two scalars a level, not
-        # from x - J * spacing, so it agrees to a few ulps of the level's
-        # largest |x|, and the masses to the roundoff that carries
-        walked = 0
-        for level, expected in zip(walk_levels(sv, c), oracle_levels(sv, c), strict=True):
-            x, q, j, k_adj, q_up, q_down = level
-            assert same_bits(x, expected[0]) and same_bits(j, expected[2]), walked
-            if k_adj is not None:
-                ulp = np.spacing(np.abs(x).max())
-                assert np.abs(k_adj - expected[3]).max() <= 4 * ulp, walked
-            for got, want in zip((q, q_up, q_down), (expected[1], *expected[4:])):
-                assert (got is None) == (want is None)
-                if got is not None:
-                    assert np.abs(got - want).max() <= 1e-13, walked
-            walked += 1
-        assert walked == n + 1
+        self.walk_against_oracle(sv, c)
+
+    def test_censored_walk(self):
+        # volatility rises from 0.081 toward 1.269, so the bottom nodes' shares
+        # leave [0, 1] on 52 of the 200 levels and the walk takes the clip
+        sv = SvParams(spot_M0=1.0, sigma0=0.081, kappa=3.52, theta=1.269, delta=0.3)
+        c = OptionContract(strike=1.0, expiry_T=0.1183, rate_r=0.05, steps_n=200, ctr=0.001)
+        assert self.walk_against_oracle(sv, c) == 52
 
     def test_price_does_not_depend_on_terminal_alignment(self):
         # copies at each 8-byte offset of a 64-byte line price to the same bits
@@ -290,6 +307,41 @@ class TestLevelWalk:
         outcome = walk_outcome(walk_levels(sv, contract))
         assert outcome == walk_outcome(oracle_levels(sv, contract))
         assert outcome[1] == message and outcome[0] > 90
+
+
+def clipped_step(q, a, b):
+    """``_step`` with the censoring always applied, its flows placed as the walk places them."""
+    q_up = np.minimum(np.maximum((b * np.arange(float(q.size)) + a) * q, 0.0), q)
+    return q_up, np.concatenate([q_up, [0.0]]) + np.concatenate([[0.0], q - q_up])
+
+
+STEP_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+# masses in [0, 1], subnormals and +0.0 included; the walk never holds a -0.0 mass
+masses = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=200).map(lambda m: np.abs(np.array(m)))
+
+
+class TestStep:
+    """``_step`` skips the censoring only where it would change no bit."""
+
+    @STEP_SETTINGS
+    @given(q=masses, a=st.floats(0.0, 1.0), top=st.floats(0.0, 1.0))
+    def test_unclipped_step_is_the_clipped_step(self, q, a, top):
+        k = q.size - 1
+        b = (top - a) / k if k else top
+        assume(0.0 <= a + b * k <= 1.0)
+        q_up, q_next = _step(q, a, b, np.arange(float(q.size)))
+        want_up, want_next = clipped_step(q, a, b)
+        assert same_bits((b * np.arange(float(q.size)) + a) * q, want_up)
+        assert same_bits(q_up, want_up) and same_bits(q_next, want_next)
+
+    @STEP_SETTINGS
+    @given(q=masses, a=st.floats(-1.0, 2.0), top=st.floats(-1.0, 2.0))
+    def test_either_end_outside_censors(self, q, a, top):
+        k = q.size - 1
+        b = (top - a) / k if k else top
+        q_up, q_next = _step(q, a, b, np.arange(float(q.size)))
+        want_up, want_next = clipped_step(q, a, b)
+        assert same_bits(q_up, want_up) and same_bits(q_next, want_next)
 
 
 class TestExactWalk:
@@ -465,7 +517,8 @@ class TestMeanPathOracle:
 
 
 class TestFrozenOutputs:
-    """Bits of the SSP fixture's price and dump, frozen from numpy 2.4 on x86-64.
+    """Bits of the SSP fixture's price and dump, and of the terminal masses and log
+    prices of large SSP and WIDE lattices, frozen from numpy 2.4 on x86-64.
 
     The lattice is plain float arithmetic in a fixed order, so any change
     to that order moves these values. The prices were re-pinned, each by one
@@ -478,11 +531,27 @@ class TestFrozenOutputs:
 
     PRICES = {14: "0x1.50538acb9fc59p-9", 200: "0x1.54e25832fcf8cp-9", 1000: "0x1.55399a9097479p-9"}
     DUMP_SHA256 = "b1b990ca05d1f0669289c2ffc1d3e79f39a0cd396a33304c610e015178505162"
+    # SHA-256 of the terminal masses' and log prices' bytes
+    LATTICE_SHA256 = {
+        ("SSP", 3000): ("487adab722faba34ff4af6577d2da141de6dda7e395442664cb35f56ba276349",
+                        "49a9087b40c0601a10ca337649421e96b728e1b33d076c578f6794c5b7897232"),
+        ("SSP", 5000): ("3247b52f64a3575441d73ddbd1aa4324ea2e1fbcf5db72a8859f621344656e49",
+                        "4492d215e21f9e87d4bdef74746e2158b428a5f9853e68449727093b4e7e8aee"),
+        ("WIDE", 3000): ("2711681a22e6b7be9250c96ea58d7c88b092b50dcebf723c445a7ef0fe2ba4e5",
+                         "2a6d99a00f9943065153529c0b4e453b6a8649747c3ef6fc001608d01390effe"),
+    }
 
     @pytest.mark.parametrize("n", sorted(PRICES))
     def test_price_bits(self, n):
         c = replace(SSP_CONTRACT, steps_n=n)
         assert price_sv_option(build_censored_lattice(SSP_SV, c)).price.hex() == self.PRICES[n]
+
+    @pytest.mark.parametrize("name,n", sorted(LATTICE_SHA256))
+    def test_lattice_bits(self, name, n):
+        sv, contract = {"SSP": (SSP_SV, SSP_CONTRACT), "WIDE": (WIDE_SV, WIDE_CONTRACT)}[name]
+        lattice = build_censored_lattice(sv, replace(contract, steps_n=n))
+        digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (lattice.q, lattice.x))
+        assert digests == self.LATTICE_SHA256[name, n]
 
     def test_dump_digest(self):
         buf = io.StringIO()
