@@ -8,7 +8,9 @@ positive, and the volatility is floored at zero after every step.
 from __future__ import annotations
 
 import math
+import threading
 from collections import deque
+from contextlib import closing
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import IO, Iterable, Iterator, Sequence
@@ -20,10 +22,10 @@ from .output import write_table
 from .sv_lattice import build_censored_lattice, price_sv_option
 
 # cost bounds checked before any path array exists. A run at the path cap
-# holds three 80 MB arrays: the price and volatility state and one step's
-# two normals for half the paths, which the other half walks negated. The
-# path-step cap is about a minute of Euler steps; a sweep may cost ten of
-# those, over at most MAX_SWEEP_POINTS points.
+# holds four 80 MB arrays: the price and volatility state and two ring
+# slots, each one step's two normals for half the paths, which the other
+# half walks negated. The path-step cap is about a minute of Euler steps; a
+# sweep may cost ten of those, over at most MAX_SWEEP_POINTS points.
 MAX_MC_PATHS = 10**7
 MIN_MC_PATHS = 4
 MAX_PATH_STEPS = 10**9
@@ -36,6 +38,9 @@ SWEEP_GROUP_PATHS = 2**19
 # paths per block of the step kernel: a block's normals, state and scratch
 # (about 1.75 MB) stay in a 2 MB L2 cache while every point steps through it
 PATH_BLOCK = 2**15
+# normals per slot of the walk's two-slot ring, or one step's if more: a
+# second thread draws one slot while the walk steps through the other
+DRAW_CHUNK = 2**15
 
 
 class Scheme(Enum):
@@ -171,8 +176,14 @@ def _walk_paths(
     """Yield the (points, n_paths) prices at the spot and after each step.
 
     The yielded array is the walk's state, updated in place by the next
-    step. Every point walks the same normals: each step draws ``eps_price``
-    then ``eps_vol`` from one Philox stream into one (2, paths) buffer.
+    step. Every point walks the same normals, drawn from one Philox stream
+    one call per chunk of steps, step-major: each step's ``eps_price`` then
+    ``eps_vol``, which is the stream of one call per step. The walk draws
+    the first chunk itself; if more remain, a second thread draws each
+    next chunk into the free slot of a two-slot ring while this one steps
+    the current chunk, and the walk stops and joins it when it is
+    exhausted, closed or raises, re-raising the thread's error here. A
+    caller that may stop early closes the walk.
     Paired, normals are drawn for the first ``n_paths // 2`` paths only, and
     path ``i + n_paths // 2`` walks path ``i``'s normals negated (antithetic
     pairs; ``advance`` subtracts their shocks, so no negated copy is made),
@@ -187,26 +198,72 @@ def _walk_paths(
         m[p] = sv.spot_M0
         sigma[p] = sv.sigma0
     drawn_paths = n_paths // 2 if paired else n_paths
-    eps = np.empty((2, drawn_paths))
+    chunk = min(steps, max(1, DRAW_CHUNK // (2 * drawn_paths)))
+    ring = np.empty((2, chunk, 2, drawn_paths))
     scratch = np.empty((3, min(drawn_paths, PATH_BLOCK)))
     # (first path, antithetic sign) of each half; a block's antithetic half
     # steps right after it, while its normals are in cache
     halves = [(0, False), (drawn_paths, True)] if paired else [(0, False)]
-    # the arguments of every advance call of one step, in order: block, half, point
-    calls = []
+    # each block's normals columns, and the state arguments of its advance
+    # calls in order: half, point
+    columns, block_calls = [], []
     for j in range(0, drawn_paths, PATH_BLOCK):
         width = min(PATH_BLOCK, drawn_paths - j)
-        for offset, antithetic in halves:
-            state = slice(offset + j, offset + j + width)
-            calls += [(m[p, state], sigma[p, state], dt, drift, sv, eps[0, j : j + width],
-                       eps[1, j : j + width], scheme, scratch[:, :width], antithetic)
-                      for p, sv in enumerate(points)]
-    yield m
-    for _ in range(steps):
-        rng.standard_normal(out=eps)
-        for args in calls:
-            advance(*args)
+        columns.append(slice(j, j + width))
+        block_calls.append([
+            (m[p, offset + j : offset + j + width], sigma[p, offset + j : offset + j + width], sv,
+             scratch[:, :width], antithetic)
+            for offset, antithetic in halves for p, sv in enumerate(points)
+        ])
+    # chunk c of steps lives in slot c % 2; ready[s] says slot s is drawn,
+    # free[s] that its steps are walked
+    sizes = [min(chunk, steps - first) for first in range(0, steps, chunk)]
+    ready = [threading.Semaphore(0), threading.Semaphore(0)]
+    free = [threading.Semaphore(0), threading.Semaphore(1)]
+    stopped = False
+    failure = []
+
+    def draw_ahead() -> None:
+        try:
+            for c in range(1, len(sizes)):
+                free[c % 2].acquire()
+                if stopped:
+                    return
+                rng.standard_normal(out=ring[c % 2, :sizes[c]])
+                ready[c % 2].release()
+        except BaseException as exc:
+            # raised by the walk, which would otherwise wait on this slot forever
+            failure.append(exc)
+            ready[c % 2].release()
+
+    rng.standard_normal(out=ring[0, :sizes[0]])
+    producer = threading.Thread(target=draw_ahead) if len(sizes) > 1 else None
+    try:
+        if producer:
+            producer.start()
         yield m
+        for c, size in enumerate(sizes):
+            if c:
+                ready[c % 2].acquire()
+                if failure:
+                    raise failure[0]
+            # each block's (eps_price, eps_vol) rows of each step: iterating a
+            # 2-d view makes a row view far cheaper than indexing does
+            normals = ring[c % 2, :size]
+            block_normals = [zip(normals[:, 0, cols], normals[:, 1, cols]) for cols in columns]
+            for step_normals in zip(*block_normals):
+                for (eps_price, eps_vol), calls in zip(step_normals, block_calls):
+                    for m_block, sigma_block, sv, scratch_block, antithetic in calls:
+                        advance(m_block, sigma_block, dt, drift, sv, eps_price, eps_vol, scheme,
+                                scratch_block, antithetic)
+                yield m
+            free[c % 2].release()
+    finally:
+        if producer:
+            stopped = True
+            free[0].release()
+            free[1].release()
+            producer.join()
 
 
 def sample_paths(
@@ -223,8 +280,9 @@ def sample_paths(
     The paths are independent: they are not drawn in antithetic pairs.
     """
     out = np.empty((n_paths, steps + 1))
-    for i, m in enumerate(_walk_paths((sv,), drift, dt, steps, n_paths, scheme, seed, False)):
-        out[:, i] = m[0]
+    with closing(_walk_paths((sv,), drift, dt, steps, n_paths, scheme, seed, False)) as walk:
+        for i, m in enumerate(walk):
+            out[:, i] = m[0]
     return out
 
 

@@ -149,23 +149,69 @@ def test_only_contracts_sums_terminal_payoffs():
     assert blas == []
 
 
+def _calls_by_outermost_function(tree: ast.Module) -> list[tuple[str, str]]:
+    """(called name, the module-level function or method around the call).
+
+    A call in a nested function counts toward the function it is nested
+    in, and a call outside any function toward ``<module>``.
+    """
+    found = []
+
+    def visit(node: ast.AST, owner: str | None, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if owner is None and isinstance(child, ast.ClassDef):
+                visit(child, None, f"{scope}{child.name}.")
+                continue
+            if owner is None and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{scope}{child.name}", scope)
+                continue
+            if isinstance(child, ast.Call):
+                name = getattr(child.func, "attr", getattr(child.func, "id", None))
+                found.append((name, owner or "<module>"))
+            visit(child, owner, scope)
+
+    visit(tree, None, "")
+    return found
+
+
 def test_one_walk_draws_the_normals():
     # _walk_paths owns the Philox stream: its draw order (step, eps_price,
     # eps_vol, path) is what seeded runs reproduce, and it refuses an unstable
-    # volatility step before it draws, for every Monte Carlo caller
+    # volatility step before it draws, for every Monte Carlo caller. Its
+    # draw-ahead thread runs a function nested in it, which counts as part of it
     callers = {}
     for path in sorted(PACKAGE.glob("*.py")):
-        for func in ast.walk(ast.parse(path.read_text())):
-            if isinstance(func, ast.FunctionDef):
-                for node in ast.walk(func):
-                    if isinstance(node, ast.Call):
-                        name = getattr(node.func, "attr", getattr(node.func, "id", None))
-                        if name in ("standard_normal", "_generator"):
-                            callers.setdefault(name, set()).add(f"{path.stem}.{func.name}")
+        for name, owner in _calls_by_outermost_function(ast.parse(path.read_text())):
+            if name in ("standard_normal", "_generator"):
+                callers.setdefault(name, set()).add(f"{path.stem}.{owner}")
     assert callers == {
         "standard_normal": {"montecarlo._walk_paths"},
         "_generator": {"montecarlo._walk_paths"},
     }
+
+
+def test_a_draw_outside_the_walk_is_found():
+    source = """
+def _walk_paths():
+    def draw_ahead():
+        rng.standard_normal(out=ring)
+
+def sample_paths():
+    def draw():
+        rng.standard_normal(out=eps)
+
+class Sampler:
+    def draw(self):
+        return _generator(1)
+
+RNG = _generator(2)
+"""
+    assert sorted(_calls_by_outermost_function(ast.parse(source))) == [
+        ("_generator", "<module>"),
+        ("_generator", "Sampler.draw"),
+        ("standard_normal", "_walk_paths"),
+        ("standard_normal", "sample_paths"),
+    ]
 
 
 def _is_log_price(node: ast.AST) -> bool:

@@ -1,6 +1,8 @@
 import hashlib
 import math
 import re
+import sys
+import threading
 import tracemalloc
 from collections import deque
 from dataclasses import replace
@@ -14,6 +16,7 @@ from firstlook.contracts import (
 from firstlook.gbm_lattice import closed_form_price
 from firstlook import montecarlo
 from firstlook.montecarlo import (
+    DRAW_CHUNK,
     MAX_MC_PATHS,
     MAX_PATH_STEPS,
     MAX_SWEEP_PATH_STEPS,
@@ -232,6 +235,7 @@ class TestStableVolatilityStep:
     def test_refused_before_any_path_array(self):
         sv = replace(BASE_SV, kappa=200.0)
         walk = _walk_paths((sv,), 0.05, 0.01, 100, 1_000_000, Scheme.EULER, 1, True)
+        threads = threading.active_count()
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="kappa \\* dt = 2.0 must be below 2"):
@@ -240,6 +244,7 @@ class TestStableVolatilityStep:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 1024
+        assert threading.active_count() == threads
 
 
 class TestPathSampling:
@@ -316,6 +321,124 @@ class TestAntitheticPairs:
             errors.append(r.std_error)
         ratio = float(np.std(prices, ddof=1) / np.mean(errors))
         assert 0.85 < ratio < 1.15
+
+
+def finishes(call):
+    """``call()``'s result or exception; fails, instead of hanging, after 60 s."""
+    outcome = []
+
+    def run():
+        try:
+            outcome.append(call())
+        except Exception as exc:
+            outcome.append(exc)
+
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(60)
+    assert not runner.is_alive()
+    return outcome[0]
+
+
+class TestDrawAhead:
+    """The walk draws each next chunk of steps on a second thread, bit for bit."""
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("drawn,steps,threaded", [
+        # chunks of 16 steps at DRAW_CHUNK = 2**15, the last one of 5
+        (1000, 3 * (DRAW_CHUNK // 2000) + 5, True),
+        # a step of more than DRAW_CHUNK normals, so a chunk is one step
+        (DRAW_CHUNK // 2 + 1, 3, True),
+        # the whole walk in the first chunk, drawn without a thread
+        (8, 20, False),
+    ])
+    def test_chunk_edges_are_one_draw(self, scheme, drawn, steps, threaded):
+        threads = threading.active_count()
+        walk = _walk_paths((BASE_SV,), 0.1, 1 / 365, steps, 2 * drawn, scheme, 5, paired=True)
+        next(walk)
+        assert threading.active_count() == threads + threaded
+        term = deque(walk, maxlen=1).pop()[0]
+        assert threading.active_count() == threads
+        normals = np.random.Generator(np.random.Philox(5)).standard_normal((steps, 2, drawn))
+        for half, eps in ((term[:drawn], normals), (term[drawn:], -normals)):
+            assert np.array_equal(half, walk_on(eps, BASE_SV, 0.1, 1 / 365, scheme))
+
+    @staticmethod
+    def walk(seed=5):
+        # seven chunks of 16 steps at DRAW_CHUNK = 2**15
+        return _walk_paths((BASE_SV,), 0.1, 1 / 365, 100, 2000, Scheme.EULER, seed, paired=True)
+
+    def test_closed_walk_stops_its_thread(self):
+        threads = threading.active_count()
+        walk = self.walk()
+        for _ in range(3):
+            next(walk)
+        assert threading.active_count() == threads + 1
+        assert finishes(walk.close) is None
+        assert threading.active_count() == threads
+
+    def test_error_while_stepping_stops_the_thread(self, monkeypatch):
+        threads = threading.active_count()
+        stepped = []
+
+        def failing_advance(*args):
+            stepped.append(threading.active_count())
+            if len(stepped) == 2 * 20:
+                raise FloatingPointError("step 20")
+            advance(*args)
+
+        monkeypatch.setattr(montecarlo, "advance", failing_advance)
+        error = finishes(lambda: deque(self.walk(), maxlen=1))
+        assert isinstance(error, FloatingPointError) and str(error) == "step 20"
+        # the walk, its thread and the thread that ran it
+        assert stepped[-1] == threads + 2
+        assert threading.active_count() == threads
+
+    def test_draw_error_reaches_the_caller(self, monkeypatch):
+        class SecondDrawFails:
+            def __init__(self, seed):
+                self.rng = np.random.Generator(np.random.Philox(seed))
+                self.draws = 0
+
+            def standard_normal(self, out):
+                self.draws += 1
+                if self.draws == 2:
+                    raise FloatingPointError("second draw")
+                return self.rng.standard_normal(out=out)
+
+        monkeypatch.setattr(montecarlo, "_generator", SecondDrawFails)
+        threads = threading.active_count()
+        for call in (
+            lambda: mc_price(BASE_SV, BASE_CONTRACT, McConfig(Scheme.EULER, 2000, 100, seed=5)),
+            lambda: sample_paths(BASE_SV, 0.1, 1 / 365, 100, 1000, Scheme.EULER, seed=5),
+        ):
+            error = finishes(call)
+            assert isinstance(error, FloatingPointError) and str(error) == "second draw"
+        assert threading.active_count() == threads
+
+    def test_concurrent_walks_keep_their_bits(self):
+        # eight walks and their threads on two cores, switching threads as
+        # often as the interpreter allows: a slot drawn over before it is
+        # walked changes the terminal prices
+        def terminal(seed):
+            return deque(self.walk(seed), maxlen=1).pop()
+
+        expected = [terminal(seed) for seed in range(8)]
+        results = {}
+        runners = [threading.Thread(target=lambda seed=seed: results.update({seed: terminal(seed)}))
+                   for seed in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for runner in runners:
+                runner.start()
+            for runner in runners:
+                runner.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(runner.is_alive() for runner in runners)
+        for seed, want in enumerate(expected):
+            assert np.array_equal(results[seed], want)
 
 
 class TestValidation:
